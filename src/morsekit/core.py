@@ -211,6 +211,16 @@ def eval_spectrum(p: MorseParams, omega):
     return float(out[0]) if scalar else out
 
 
+def _rescaled_log_shape(beta, gamma, log_omega):
+    """ln of the peak-rescaled spectrum less ln 2 at ln(omega):
+    beta*ln(w) + (beta/gamma)*(1 - w**gamma), zero at the peak w = 1.
+
+    Takes raw (beta, gamma) rather than MorseParams so that whole rows of
+    the parameter plane broadcast against a frequency grid at once.
+    """
+    return beta * log_omega + (beta / gamma) * (1.0 - np.exp(gamma * log_omega))
+
+
 def eval_rescaled_spectrum(p: MorseParams, omega):
     """Spectrum with the frequency axis rescaled by the peak frequency, so
     the maximum value 2 always sits at unit frequency.
@@ -228,10 +238,8 @@ def eval_rescaled_spectrum(p: MorseParams, omega):
     out = np.zeros_like(w)
     pos = (w > 0) & np.isfinite(w)
     if np.any(pos):
-        b, g = p.beta, p.gamma
-        logw = np.log(w[pos])
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            expo = b * logw + (b / g) * (1.0 - np.exp(g * logw))
+            expo = _rescaled_log_shape(p.beta, p.gamma, np.log(w[pos]))
             vals = 2.0 * np.exp(expo)
         out[pos] = np.where(np.isnan(expo), 0.0, vals)
     return float(out[0]) if scalar else out
@@ -381,7 +389,7 @@ def sample_wavelet(
         raise ValueError(f"dt must be positive (got {dt})")
 
     nyquist = np.pi / dt
-    if p.beta > 0 and scale * peak_frequency(p) >= nyquist:
+    if p.beta > 0 and peak_frequency(p) / scale >= nyquist:
         raise ValueError(
             "scaled peak frequency exceeds the Nyquist rate; "
             "increase the scale or decrease dt"

@@ -359,6 +359,18 @@ class TestSampleWavelet:
         with pytest.raises(ValueError, match="aliasing|Nyquist"):
             sample_wavelet(MorseParams(9, 3), 1.0, 64, 2.4)
 
+    def test_large_scale_peak_below_nyquist_is_accepted(self):
+        # the scaled peak sits at w_p/scale = 0.14 rad, far below pi/dt = 6.28
+        wf = sample_wavelet(MorseParams(9, 3), 10.0, 1024, 0.5)
+        assert len(wf.values) == 1024
+
+    def test_small_scale_peak_above_nyquist_is_rejected(self):
+        # the scaled peak sits at w_p/scale = 7.2 rad, above pi/dt = pi; the
+        # spectrum at Nyquist is on the rising flank, so only the peak test
+        # can catch it
+        with pytest.raises(ValueError, match="Nyquist"):
+            sample_wavelet(MorseParams(9, 3), 0.2, 1024, 1.0)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             sample_wavelet(MorseParams(3, 3), 1.0, 8, 0.1)

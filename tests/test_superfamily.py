@@ -29,6 +29,8 @@ from morsekit.superfamily import (
     shannon_wavelet,
     similarity_alpha_sq,
 )
+from morsekit import superfamily
+from morsekit.superfamily import _bessel_alpha_sq
 
 
 class TestMorlet:
@@ -299,11 +301,63 @@ class TestBesselFit:
             max(a2 for _, _, a2 in res.grid_trace), abs=0
         )
 
+    @pytest.mark.parametrize("n", [12, 16, 20, 24])
+    def test_default_box_ends_in_the_paper_basin(self, n):
+        # compass moves alone stall on the ridge beta*gamma ~ 2.2 for these
+        # grids; the diagonal moves follow it into criterion 1's box
+        res = bessel_fit(BesselFitGrid(n_beta=n, n_gamma=n))
+        assert abs(res.best_params.beta - 22.0) <= 2.0
+        assert abs(res.best_params.gamma - 0.10) <= 0.02
+
+    def test_fit_does_not_call_the_quadrature_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bessel_fit called the quadrature oracle")
+
+        monkeypatch.setattr(superfamily, "quadrature_integral", refuse)
+        res = bessel_fit(BesselFitGrid(n_beta=6, n_gamma=6))
+        assert 0.0 < res.alpha_sq <= 1.0
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             BesselFitGrid(beta_lo=-1.0)
         with pytest.raises(ValueError):
             BesselFitGrid(gamma_lo=0.5, gamma_hi=0.2)
+
+
+class TestBesselAlphaSqRule:
+    """The fixed-node rule inside bessel_fit against the adaptive oracle."""
+
+    @staticmethod
+    def oracle(beta, gamma):
+        return similarity_alpha_sq(gmw_wavelet(MorseParams(beta, gamma)), bessel_wavelet())
+
+    def test_matches_oracle_on_the_default_box(self):
+        rng = np.random.default_rng(20120601)
+        box = BesselFitGrid()
+        points = [(b, g) for b in (box.beta_lo, box.beta_hi)
+                  for g in (box.gamma_lo, box.gamma_hi)]
+        points += list(zip(
+            np.exp(rng.uniform(np.log(box.beta_lo), np.log(box.beta_hi), 12)),
+            np.exp(rng.uniform(np.log(box.gamma_lo), np.log(box.gamma_hi), 12)),
+        ))
+        for b, g in points:
+            assert abs(_bessel_alpha_sq(b, g) - self.oracle(b, g)) <= 1e-10, (b, g)
+
+    @pytest.mark.parametrize("beta, gamma", [(5000.0, 20.0), (50.0, 200.0)])
+    def test_matches_oracle_on_narrow_spectra(self, beta, gamma):
+        # P = 316, and a gamma = 200 upper flank: 2001 nodes leave errors of
+        # 9e-6 and 2e-10 here, so the node count must grow with the box
+        assert abs(_bessel_alpha_sq(beta, gamma) - self.oracle(beta, gamma)) <= 1e-10
+
+    @pytest.mark.parametrize("corner", [None, (5000.0, 20.0)])
+    def test_row_call_equals_scalar_calls(self, corner):
+        # the (5000, 20) corner needs 13900 nodes, so the row of 40 is
+        # evaluated in blocks of 18
+        gammas = np.geomspace(0.02, 2.0, 40)
+        row = _bessel_alpha_sq(22.0, gammas, corner)
+        assert row.shape == gammas.shape
+        for g, a2 in zip(gammas, row):
+            assert abs(_bessel_alpha_sq(22.0, float(g), corner) - a2) <= 1e-15
 
 
 class TestLimitDiagnostics:
