@@ -11,8 +11,9 @@ Runs the four CLI exports at their default resolutions:
            for gamma = 1..6 and the Morlet wavelet
   limits   lognormal- and band-pass-limit sup deviations
 
-Takes a couple of minutes single-threaded; set MORSEKIT_THREADS to
-parallelize the map sweep (outputs are thread-count independent).
+Takes about 10 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17),
+almost all of it in curves; map takes 0.3 s.  Everything runs in one
+thread.
 """
 
 import sys

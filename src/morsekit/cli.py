@@ -3,23 +3,23 @@ gallery, concentration curves, property tables, transform coefficients,
 Bessel-fit results, and limiting-form diagnostics as CSV or JSON.
 
 Outputs are deterministic: floats are printed with shortest round-trip
-formatting, infinities as "inf", undefined cells blank, and results do not
-depend on the thread count.
+formatting, infinities as "inf", undefined cells blank.  No command runs
+threads: ``--threads`` and ``MORSEKIT_THREADS`` are parsed but currently
+have no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .core import (
@@ -32,6 +32,8 @@ from .core import (
     sample_wavelet,
 )
 from .props import (
+    _heisenberg_area,
+    _skewness,
     heisenberg_area,
     quadrature_moment,
     sigma_omega,
@@ -58,7 +60,6 @@ class RunConfig:
     command: str
     out: Path | None = None
     format: str = "csv"
-    threads: int = 0
     options: dict = field(default_factory=dict)
 
     def describe(self) -> str:
@@ -70,11 +71,6 @@ class RunConfig:
                 v = "[" + ",".join(str(x) for x in v) + "]"
             parts.append(f"{k}={v}")
         return f"morsekit {self.command} format={self.format} " + " ".join(parts)
-
-    def n_workers(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        return os.cpu_count() or 1
 
 
 def _fmt(v) -> str:
@@ -108,6 +104,17 @@ def _jsonable(v):
     return v
 
 
+@contextlib.contextmanager
+def _open_output(path: Path | None):
+    """A text stream on ``path`` (its directory created), or stdout."""
+    if path is None:
+        yield sys.stdout
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        yield f
+
+
 class _Sink:
     """Writes one table to a CSV or JSON file (or stdout)."""
 
@@ -135,11 +142,8 @@ class _Sink:
             for row in rows:
                 lines.append(",".join(_fmt(v) for v in row))
             text = "\n".join(lines) + "\n"
-        if self.path is None:
-            sys.stdout.write(text)
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(text)
+        with _open_output(self.path) as f:
+            f.write(text)
 
 
 def _out_file(cfg: RunConfig, stem: str) -> Path | None:
@@ -182,39 +186,43 @@ def _parse_pgrid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _zero_skewness_rows(betas, g_lo: float, g_hi: float) -> list[tuple[float, float]]:
+    """(beta, gamma*) for every beta > 0 whose frequency skewness changes
+    sign between g_lo and g_hi: bisection on all rows at once, halving each
+    bracket until it stops shrinking."""
+    b = np.array([v for v in betas if v > 0], dtype=float)
+    lo, hi = np.full_like(b, g_lo), np.full_like(b, g_hi)
+    f_lo = _skewness(b, lo)
+    crossing = f_lo * _skewness(b, hi) < 0
+    b, lo, hi, f_lo = b[crossing], lo[crossing], hi[crossing], f_lo[crossing]
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        f_mid = _skewness(b, mid)
+        above = np.signbit(f_mid) == np.signbit(f_lo)  # the root lies above mid
+        lo, f_lo = np.where(above, mid, lo), np.where(above, f_mid, f_lo)
+        hi = np.where(above, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return list(zip(b.tolist(), mid.tolist()))
+
+
 def cmd_map(cfg: RunConfig) -> int:
     betas = cfg.options["beta"]
     gammas = cfg.options["gamma"]
+    # the first row and column hold every value, so MorseParams rejects the
+    # first bad cell in beta-major order, in its own words
+    for b, g in [(b, g) for b in betas[:1] for g in gammas] + [
+        (b, g) for b in betas for g in gammas[:1]
+    ]:
+        MorseParams(b, g)
 
-    def area_row(b):
-        out = []
-        for g in gammas:
-            a = heisenberg_area(MorseParams(b, g))
-            out.append((b, g, a))
-        return out
-
-    workers = cfg.n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(area_row, betas))
-    else:
-        chunks = [area_row(b) for b in betas]
-    rows = [cell for chunk in chunks for cell in chunk]
+    b_grid, g_grid = np.meshgrid(betas, gammas, indexing="ij")
+    areas = _heisenberg_area(b_grid, g_grid)
     _Sink(cfg, _out_file(cfg, "heisenberg_map")).write(
-        ("beta", "gamma", "heisenberg_area"), rows
+        ("beta", "gamma", "heisenberg_area"),
+        zip(b_grid.ravel().tolist(), g_grid.ravel().tolist(), areas.ravel().tolist()),
     )
 
-    # zero-skewness curve gamma*(beta) by per-row sign bracketing
-    sk_rows = []
-    g_lo, g_hi = min(gammas), max(gammas)
-    for b in betas:
-        f = lambda g: skewness_freq(MorseParams(b, g))
-        try:
-            if f(g_lo) * f(g_hi) < 0:
-                gstar = brentq(f, g_lo, g_hi, xtol=1e-12, rtol=1e-10)
-                sk_rows.append((b, float(gstar)))
-        except ValueError:
-            continue
+    sk_rows = _zero_skewness_rows(betas, min(gammas), max(gammas))
     _Sink(cfg, _out_file(cfg, "skewness_zero")).write(("beta", "gamma_star"), sk_rows)
 
     loc_rows = [(g, (g - 1.0) / 2.0) for g in gammas if g >= 1.0]
@@ -434,32 +442,21 @@ def cmd_cwt(cfg: RunConfig) -> int:
             "real": [[float(v) for v in row] for row in res.coefficients.real],
             "imag": [[float(v) for v in row] for row in res.coefficients.imag],
         }
-        text = json.dumps(payload, allow_nan=False) + "\n"
-        out = _out_file(cfg, "cwt")
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text)
+        with _open_output(_out_file(cfg, "cwt")) as f:
+            f.write(json.dumps(payload, allow_nan=False) + "\n")
         return 0
 
     columns = ["t"] + [f"scale={_fmt(float(s))}" for s in grid.scales]
-    lines = [f"# {cfg.describe()}"]
-    lines.append(f"# dt={_fmt(sig.dt)} normalization={res.normalization} "
-                 f"boundary={res.boundary}")
-    lines.append(",".join(columns))
-    for i in range(n):
-        cells = [_fmt(times[i])] + [
-            _fmt_complex(res.coefficients[i, j]) for j in range(len(grid))
-        ]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    out = _out_file(cfg, "cwt")
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+    # one row at a time: the whole table as text is several times the
+    # size of the coefficients
+    header = (f"# {cfg.describe()}\n"
+              f"# dt={_fmt(sig.dt)} normalization={res.normalization} "
+              f"boundary={res.boundary}\n" + ",".join(columns) + "\n")
+    with _open_output(_out_file(cfg, "cwt")) as f:
+        f.write(header)
+        for t, row in zip(times.tolist(), res.coefficients):
+            cells = [_fmt(t)] + [_fmt_complex(c) for c in row.tolist()]
+            f.write(",".join(cells) + "\n")
     return 0
 
 
@@ -525,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=int(os.environ.get("MORSEKIT_THREADS", "0")),
-            help="worker threads (0 = auto); results are thread-count independent",
+            help="accepted for compatibility; currently has no effect (no command "
+            "runs threads)",
         )
 
     sp = sub.add_parser("map", help="Heisenberg-area map over the (beta, gamma) plane")
@@ -585,7 +583,6 @@ def _config_from_args(args) -> RunConfig:
         command=args.command,
         out=args.out,
         format=args.format,
-        threads=args.threads,
     )
     if args.command == "map":
         cfg.options["beta"] = _parse_list_or_range(args.beta)

@@ -5,7 +5,9 @@ Closed forms come from the generalized-gamma integral
     int_0^inf w**q exp(-2 w**gamma) dw = Gamma((q+1)/gamma) /
                                          (gamma * 2**((q+1)/gamma))
 
-evaluated through log-gamma; an independent adaptive-quadrature oracle
+evaluated through log-gamma, once, as kernels on raw (beta, gamma) arrays
+that broadcast over a whole grid of the parameter plane; the MorseParams
+functions wrap them.  An independent adaptive-quadrature oracle
 (`quadrature_moment`) checks every closed form and is the only property
 path for non-Morse spectra such as the Morlet.
 """
@@ -64,8 +66,7 @@ class PropertySummary:
 class MomentTable:
     """Energy moments int w**n |Psi|^2 dw by order, for one parameter pair.
 
-    Immutable after construction, so instances may be shared freely across
-    threads.
+    Immutable after construction.
     """
 
     params: MorseParams
@@ -111,58 +112,99 @@ def moment_table(p: MorseParams, orders=(0, 1, 2, 3)) -> MomentTable:
     return MomentTable(params=p, m={n: energy_moment(p, n) for n in orders})
 
 
-def _scaled_moment_ratio(p: MorseParams, n: int) -> float:
-    # m_n / (m_0 * w_p**n): O(1)-sized for every parameter combination,
-    # where the raw ratio m_n/m_0 ~ w_p**n can overflow (w_p reaches
-    # 1e150+ for small gamma)
-    lw = (math.log(p.beta) - math.log(p.gamma)) / p.gamma
-    return float(
-        np.exp(log_energy_moment(p, n) - log_energy_moment(p, 0) - n * lw)
+def _log_moment_ratios(beta, gamma, *orders):
+    """ln of m_n / (m_0 w_p**n) for each order n, stacked on a new last
+    axis: the energy moments m_n = int w**n |Psi|^2 dw relative to m_0, in
+    units of the peak frequency.
+
+    With r = (2 beta + 1)/gamma and s = n/gamma this is
+
+        ln Gamma(r + s) - ln Gamma(r) - s ln(2 beta/gamma),
+
+    since the amplitude constant cancels and w_p**gamma = beta/gamma.  The
+    ratio is representable where m_n/m_0 ~ w_p**n is not (w_p reaches
+    1e150+ at small gamma).  Takes raw (beta, gamma) that broadcast, like
+    core._rescaled_log_shape, so a whole grid of the parameter plane is one
+    call; each order is a number or an array broadcasting with them, and
+    must exceed -(2 beta + 1).  Requires beta > 0.
+    """
+    b = np.asarray(beta, dtype=float)[..., None]
+    g = np.asarray(gamma, dtype=float)[..., None]
+    r = (2.0 * b + 1.0) / g
+    s = np.stack(np.broadcast_arrays(*orders), axis=-1) / g
+    return gammaln(r + s) - gammaln(r) - s * np.log(2.0 * b / g)
+
+
+def _rescaled_sigma_omega(beta, gamma):
+    """sigma_omega / w_p on raw (beta, gamma) arrays; requires beta > 0."""
+    r1, r2 = np.exp(np.moveaxis(_log_moment_ratios(beta, gamma, 1.0, 2.0), -1, 0))
+    return np.sqrt(r2 - r1 * r1)
+
+
+def _rescaled_sigma_t(beta, gamma):
+    """sigma_t * w_p on raw (beta, gamma) arrays; requires beta > 1/2.
+
+    Uses the derivative identity int t^2 |psi|^2 dt =
+    (1/2pi) int |Psi'(w)|^2 dw together with a centered wavelet (the
+    spectrum is real and nonnegative, so psi(-t) = conj(psi(t)) and the
+    temporal mean vanishes).  With Psi' = a (beta w**(beta-1) -
+    gamma w**(beta+gamma-1)) exp(-w**gamma) and w_p**gamma = beta/gamma,
+    (sigma_t w_p)**2 = beta**2 (R(-2) - 2 R(gamma-2) + R(2 gamma-2)) in the
+    rescaled moment ratios R.  The three terms are combined relative to
+    the largest, so extreme parameters neither overflow nor turn the
+    cancellation into noise.
+    """
+    g = np.asarray(gamma, dtype=float)
+    logs = _log_moment_ratios(beta, g, -2.0, g - 2.0, 2.0 * g - 2.0)
+    logs[..., 1] += math.log(2.0)
+    top = logs.max(axis=-1)
+    e = np.exp(logs - top[..., None])
+    return beta * np.exp(0.5 * top) * np.sqrt(e[..., 0] - e[..., 1] + e[..., 2])
+
+
+def _heisenberg_area(beta, gamma):
+    """sigma_t * sigma_omega on raw (beta, gamma) arrays that broadcast;
+    +inf where beta <= 1/2.  Scale-free, so the peak frequency never
+    enters."""
+    b, g = np.broadcast_arrays(
+        np.asarray(beta, dtype=float), np.asarray(gamma, dtype=float)
     )
+    bounded = b > 0.5
+    # a placeholder beta keeps the unbounded cells out of the log-gamma terms
+    b = np.where(bounded, b, 1.0)
+    area = _rescaled_sigma_t(b, g) * _rescaled_sigma_omega(b, g)
+    return np.where(bounded, area, np.inf)
+
+
+def _skewness(beta, gamma):
+    """Frequency skewness on raw (beta, gamma) arrays; requires beta > 0."""
+    r1, r2, r3 = np.exp(
+        np.moveaxis(_log_moment_ratios(beta, gamma, 1.0, 2.0, 3.0), -1, 0)
+    )
+    var = r2 - r1 * r1
+    return (r3 - 3.0 * r1 * var - r1**3) / var**1.5
 
 
 def mean_frequency(p: MorseParams) -> float:
     """Energy-weighted mean frequency m1/m0."""
     if p.beta <= 0:
         raise ValueError("mean frequency requires beta > 0")
-    return _scaled_moment_ratio(p, 1) * peak_frequency(p)
+    r1 = float(np.exp(_log_moment_ratios(p.beta, p.gamma, 1.0)[0]))
+    return r1 * peak_frequency(p)
 
 
 def sigma_omega(p: MorseParams) -> float:
     """Frequency-domain standard deviation of the energy density |Psi|^2."""
     if p.beta <= 0:
         raise ValueError("sigma_omega requires beta > 0")
-    r1 = _scaled_moment_ratio(p, 1)
-    r2 = _scaled_moment_ratio(p, 2)
-    return float(np.sqrt(r2 - r1 * r1)) * peak_frequency(p)
+    return float(_rescaled_sigma_omega(p.beta, p.gamma)) * peak_frequency(p)
 
 
 def sigma_t(p: MorseParams) -> float:
-    """Time-domain standard deviation; +inf for beta <= 1/2.
-
-    Uses the derivative identity int t^2 |psi|^2 dt =
-    (1/2pi) int |Psi'(w)|^2 dw together with a centered wavelet (the
-    spectrum is real and nonnegative, so psi(-t) = conj(psi(t)) and the
-    temporal mean vanishes).  With Psi' = a (beta w**(beta-1) -
-    gamma w**(beta+gamma-1)) exp(-w**gamma) the integral reduces to three
-    generalized-gamma terms, combined relative to their largest log
-    magnitude so that extreme peak frequencies neither underflow nor turn
-    the cancellation into noise.
-    """
-    b, g = p.beta, p.gamma
-    if b <= 0.5:
+    """Time-domain standard deviation; +inf for beta <= 1/2."""
+    if p.beta <= 0.5:
         return math.inf
-    lm0 = log_energy_moment(p, 0) - 2.0 * log_amplitude_constant(p)
-    logs = (
-        2 * math.log(b) + _log_gengamma_integral(g, 2 * b - 2) - lm0,
-        math.log(2 * b * g) + _log_gengamma_integral(g, 2 * b + g - 2) - lm0,
-        2 * math.log(g) + _log_gengamma_integral(g, 2 * b + 2 * g - 2) - lm0,
-    )
-    top = max(logs)
-    bracket = (
-        math.exp(logs[0] - top) - math.exp(logs[1] - top) + math.exp(logs[2] - top)
-    )
-    return float(math.exp(0.5 * top) * math.sqrt(bracket))
+    return float(_rescaled_sigma_t(p.beta, p.gamma)) / peak_frequency(p)
 
 
 def heisenberg_area(p: MorseParams) -> float:
@@ -171,10 +213,7 @@ def heisenberg_area(p: MorseParams) -> float:
     Bounded below by 1/2 and approaches that bound for large beta near
     gamma = 3.
     """
-    st = sigma_t(p)
-    if math.isinf(st):
-        return math.inf
-    return float(st * sigma_omega(p))
+    return float(_heisenberg_area(p.beta, p.gamma))
 
 
 def skewness_freq(p: MorseParams) -> float:
@@ -186,10 +225,7 @@ def skewness_freq(p: MorseParams) -> float:
     """
     if p.beta <= 0:
         raise ValueError("skewness requires beta > 0")
-    r1 = _scaled_moment_ratio(p, 1)
-    var = _scaled_moment_ratio(p, 2) - r1 * r1
-    r3 = _scaled_moment_ratio(p, 3)
-    return float((r3 - 3.0 * r1 * var - r1**3) / var**1.5)
+    return float(_skewness(p.beta, p.gamma))
 
 
 def property_summary(p: MorseParams) -> PropertySummary:

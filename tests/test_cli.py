@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,34 @@ class TestMap:
             "constant_p_lines.csv",
         ):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "beta, gamma, error",
+        [
+            ("-1,2", "1,2", "beta must be finite and >= 0 (got -1.0)"),
+            ("1,nan", "1,2", "beta must be finite and >= 0 (got nan)"),
+            ("1,2", "0,1", "gamma must be finite and > 0 (got 0.0)"),
+            ("1,2", "1,-0.5", "gamma must be finite and > 0 (got -0.5)"),
+            ("0,0.3,0.5,4", "1,3,9", None),
+        ],
+    )
+    def test_guards(self, tmp_path, capsys, beta, gamma, error):
+        out = tmp_path / "map"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run("map", "--out", str(out), f"--beta={beta}", f"--gamma={gamma}")
+        err = capsys.readouterr().err
+        if error is not None:
+            assert rc == 2
+            assert err == f"error: {error}\n"
+            return
+        assert rc == 0 and err == ""
+        _, rows = _read_csv(out / "heisenberg_map.csv")
+        for b, _, a in rows:
+            assert (a == "inf") == (float(b) <= 0.5)
+        # beta = 0 has no skewness; the other rows all cross in [1, 9]
+        _, sk = _read_csv(out / "skewness_zero.csv")
+        assert [b for b, _ in sk] == ["0.3", "0.5", "4.0"]
 
     def test_repeat_run_byte_identical(self, tmp_path):
         args = ["--beta", "1:10:5", "--gamma", "1:10:5"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ORACLE_BETAS, ORACLE_GAMMAS, log_trapezoid_integral
+from morsekit import props
 from morsekit.core import (
     MorseParams,
     duration,
@@ -171,6 +172,64 @@ class TestSkewness:
         f = lambda g: skewness_freq(MorseParams(100, g))
         gstar = brentq(f, 1.5, 8.0)
         assert abs(gstar - 3.0) < 0.05
+
+
+def _mpmath_area_and_skewness(beta, gamma):
+    """Heisenberg area and frequency skewness from the generalized-gamma
+    integrals int w**q exp(-2 w**g) dw = Gamma(r)/(g 2**r), r = (q+1)/g,
+    evaluated in mpmath at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def gengamma(q, g):
+        r = (q + 1) / g
+        return mpmath.gamma(r) / (g * mpmath.power(2, r))
+
+    with mpmath.workdps(30):
+        b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
+        i0 = gengamma(2 * b, g)
+        m1, m2, m3 = (gengamma(2 * b + n, g) / i0 for n in (1, 2, 3))
+        var_w = m2 - m1**2
+        var_t = (
+            b**2 * gengamma(2 * b - 2, g)
+            - 2 * b * g * gengamma(2 * b + g - 2, g)
+            + g**2 * gengamma(2 * b + 2 * g - 2, g)
+        ) / i0
+        skew = (m3 - 3 * m1 * var_w - m1**3) / var_w**1.5
+        return float(mpmath.sqrt(var_t * var_w)), float(skew)
+
+
+# the Airy member, the map's two far corners, and (58.6, 0.32), where the
+# closed forms lose the most digits on the map's default grid
+PINNED_CELLS = [(9.0, 3.0), (0.55, 30.0), (60.0, 0.3), (58.6, 0.32)]
+
+
+class TestClosedFormPins:
+    @pytest.mark.parametrize("b, g", PINNED_CELLS)
+    def test_match_mpmath(self, b, g):
+        area, skew = _mpmath_area_and_skewness(b, g)
+        p = MorseParams(b, g)
+        assert heisenberg_area(p) == pytest.approx(area, rel=1e-9)
+        assert skewness_freq(p) == pytest.approx(skew, rel=1e-9)
+
+    @pytest.mark.parametrize("b, g", PINNED_CELLS)
+    def test_scalar_wrappers_equal_array_kernels(self, b, g):
+        # the cell sits inside a grid, so the kernels run their array path
+        bb = np.array([1.0, b, 40.0])[:, None]
+        gg = np.array([0.5, g, 7.0])[None, :]
+        p = MorseParams(b, g)
+        wp = peak_frequency(p)
+        pairs = [
+            (heisenberg_area(p), props._heisenberg_area(bb, gg)[1, 1]),
+            (skewness_freq(p), props._skewness(bb, gg)[1, 1]),
+            (sigma_t(p), props._rescaled_sigma_t(bb, gg)[1, 1] / wp),
+            (sigma_omega(p), props._rescaled_sigma_omega(bb, gg)[1, 1] * wp),
+            (
+                mean_frequency(p),
+                math.exp(props._log_moment_ratios(bb, gg, 1.0)[1, 1, 0]) * wp,
+            ),
+        ]
+        for scalar, array in pairs:
+            assert scalar == pytest.approx(float(array), rel=1e-15, abs=0)
 
 
 class TestQuadratureOracle:
