@@ -3,9 +3,7 @@ gallery, concentration curves, property tables, transform coefficients,
 Bessel-fit results, and limiting-form diagnostics as CSV or JSON.
 
 Outputs are deterministic: floats are printed with shortest round-trip
-formatting, infinities as "inf", undefined cells blank.  No command runs
-threads: ``--threads`` and ``MORSEKIT_THREADS`` are parsed but currently
-have no effect.
+formatting, infinities as "inf", undefined cells blank.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,7 +63,7 @@ class RunConfig:
         parts = []
         for k, v in sorted(self.options.items()):
             if isinstance(v, (list, tuple)) and len(v) > 6:
-                v = f"[{_fmt(v[0])}..{_fmt(v[-1])}]x{len(v)}"
+                v = f"[{v[0]}..{v[-1]}]x{len(v)}"
             elif isinstance(v, (list, tuple)):
                 v = "[" + ",".join(str(x) for x in v) + "]"
             parts.append(f"{k}={v}")
@@ -167,7 +164,10 @@ def _parse_list_or_range(text: str, log_range: bool = True) -> list[float]:
             raise ValueError(f"bad range {text!r}")
         grid = np.geomspace(lo, hi, n) if log_range else np.linspace(lo, hi, n)
         return [float(v) for v in grid]
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise ValueError(f"list must hold at least one value (got {text!r})")
+    return values
 
 
 def _parse_pgrid(text: str) -> list[float]:
@@ -518,13 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, out_help="output file or directory"):
         sp.add_argument("--out", type=Path, default=None, help=out_help)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("MORSEKIT_THREADS", "0")),
-            help="accepted for compatibility; currently has no effect (no command "
-            "runs threads)",
-        )
 
     sp = sub.add_parser("map", help="Heisenberg-area map over the (beta, gamma) plane")
     common(sp, "output directory (required)")

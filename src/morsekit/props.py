@@ -64,10 +64,7 @@ class PropertySummary:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Energy moments int w**n |Psi|^2 dw by order, for one parameter pair.
-
-    Immutable after construction.
-    """
+    """Energy moments int w**n |Psi|^2 dw by order, for one parameter pair."""
 
     params: MorseParams
     m: dict[int, float] = field(default_factory=dict)

@@ -5,14 +5,26 @@ sampled wavelet spectrum, which is exact for the periodic boundary and
 O(N log N) per scale.  Internal frequencies are radians per sample; the
 sample spacing dt enters only when converting a scale to a physical
 frequency, peak_frequency/(scale*dt).
+
+The filter bank runs in blocks of scales.  A row's filter is evaluated
+only on the bins below the frequency where the Morse spectrum underflows
+to exactly 0 (found once per transform), and one multi-threaded inverse
+FFT, using every CPU the process may run on, turns a whole block into
+coefficient rows.  The rows are stored scale-major, so the time x scale
+``CwtResult.coefficients`` is a Fortran-ordered view, and the transform
+needs the output plus one block of memory.  The coefficients are bitwise
+those of one full-length filter and one inverse FFT per scale, whatever
+the block size or thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .core import MorseParams, duration, eval_spectrum, peak_frequency
 
@@ -27,6 +39,16 @@ __all__ = [
 
 NORMALIZATIONS = ("bandpass_n1", "unitary_n_half")
 BOUNDARIES = ("periodic", "zero", "mirror")
+
+# cap on one block of padded filter rows; pocketfft adds about one row of
+# scratch per thread on top
+_BLOCK_BYTES = 8 << 20
+# the inverse FFTs use every CPU this process may run on; the results do
+# not depend on the count
+if hasattr(os, "sched_getaffinity"):
+    _FFT_WORKERS = len(os.sched_getaffinity(0))
+else:
+    _FFT_WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -101,29 +123,29 @@ class CwtResult:
         object.__setattr__(self, "coefficients", c)
 
 
-def _high_frequency_scale(p: MorseParams, eta: float) -> float:
-    """Smallest admissible scale: Psi(s*pi)/2 == eta at the Nyquist rate,
-    found by bisection on the decaying high-frequency flank."""
-    wp = peak_frequency(p)
-    target = 2.0 * eta
-
-    # bracket the crossing on x = s*pi > wp where Psi is decreasing
-    lo = wp
-    hi = 2.0 * wp
-    for _ in range(200):
-        if eval_spectrum(p, hi) < target:
-            break
+def _flank_crossing(p: MorseParams, level: float) -> tuple[float, float]:
+    """Bracket [lo, hi] of the frequency where Psi falls to ``level`` on its
+    decaying high-frequency flank: Psi(lo) > level >= Psi(hi), found by
+    doubling from the peak and then bisection to hi - lo <= 1e-12 * hi.
+    ``hi`` is inf if Psi stays above ``level`` at every finite frequency."""
+    lo = peak_frequency(p) if p.beta > 0 else 0.0
+    hi = 2.0 * lo if lo > 0 else 1.0
+    while eval_spectrum(p, hi) > level:  # Psi(inf) is 0, so this ends
         lo, hi = hi, 2.0 * hi
-    else:
-        raise RuntimeError("could not bracket the high-frequency cutoff")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if eval_spectrum(p, mid) > target:
+        if eval_spectrum(p, mid) > level:
             lo = mid
         else:
             hi = mid
         if (hi - lo) <= 1e-12 * hi:
             break
+    return lo, hi
+
+
+def _high_frequency_scale(p: MorseParams, eta: float) -> float:
+    """Smallest admissible scale: Psi(s*pi)/2 == eta at the Nyquist rate."""
+    lo, hi = _flank_crossing(p, 2.0 * eta)
     return 0.5 * (lo + hi) / math.pi
 
 
@@ -192,6 +214,15 @@ def transform(
     positive side.  Non-periodic boundaries pad to the next power of two
     at or above twice the length, zero in 'zero' mode and even reflection
     in 'mirror' mode, and crop after inversion.
+
+    Scales run in blocks of at most _BLOCK_BYTES (8 MB) of padded rows.
+    Each row's filter is evaluated only below the frequency where the
+    spectrum underflows to exactly 0, and each block is inverted by one
+    FFT over its rows on every CPU the process may use.  Rows are written
+    scale-major, so ``coefficients`` is a Fortran-ordered time x scale
+    view.  Beyond the output the transform holds one block (periodic rows
+    are inverted in place in the output) and O(m) for the spectrum.  The
+    coefficients do not depend on the block size or the thread count.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -211,23 +242,41 @@ def transform(
         offset = left
     m = len(buf)
 
-    spectrum = np.fft.fft(buf)
-    k_pos = np.arange(m // 2 + 1)  # nonnegative bins, Nyquist on the + side
-    omega_pos = 2.0 * np.pi * k_pos / m
-
+    # Psi is exactly 0 at and above w_zero (the margin covers rounding in
+    # the bin counts), so a row gets filter values only on the nonnegative
+    # bins below it, the Nyquist bin counted on the + side
+    w_zero = _flank_crossing(grid.params, 0.0)[1] * (1.0 + 1e-9)
     scales = grid.scales
-    coeffs = np.empty((n, len(scales)), dtype=complex)
-    filt = np.zeros(m)
-    for j, s in enumerate(scales):
-        filt[:] = 0.0
-        filt[k_pos] = eval_spectrum(grid.params, s * omega_pos)
-        row = np.fft.ifft(spectrum * filt)
+    supports = np.ceil(w_zero * m / (2.0 * np.pi * scales))
+    supports = np.minimum(supports, m // 2 + 1).astype(int)
+    spectrum = np.fft.fft(buf)[: supports.max()].copy()  # the bins any row uses
+    del buf
+    omega_pos = 2.0 * np.pi * np.arange(len(spectrum)) / m
+
+    out = np.empty((len(scales), n), dtype=complex)
+    rows = max(1, _BLOCK_BYTES // (16 * m))  # complex rows of m bins
+    # periodic rows are inverted in place in the output
+    if boundary == "periodic":
+        work = None
+    else:
+        work = np.empty((min(rows, len(scales)), m), dtype=complex)
+    for j0 in range(0, len(scales), rows):
+        j1 = min(j0 + rows, len(scales))
+        dest = out[j0:j1]
+        block = dest if work is None else work[: j1 - j0]
+        for row, s, k in zip(block, scales[j0:j1], supports[j0:j1]):
+            filt = eval_spectrum(grid.params, s * omega_pos[:k])
+            np.multiply(spectrum[:k], filt, out=row[:k])
+            row[k:] = 0.0
+        inverse = scipy.fft.ifft(block, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+        cropped = inverse[:, offset : offset + n]
         if normalization == "unitary_n_half":
-            row = row * math.sqrt(s)
-        coeffs[:, j] = row[offset : offset + n]
+            np.multiply(cropped, np.sqrt(scales[j0:j1])[:, None], out=dest)
+        elif not np.may_share_memory(cropped, dest):  # periodic: already in place
+            dest[...] = cropped
 
     return CwtResult(
-        coefficients=coeffs,
+        coefficients=out.T,
         scales=grid,
         normalization=normalization,
         boundary=boundary,

@@ -76,3 +76,32 @@ def log_trapezoid_integral(f, lo: float, hi: float, n: int = 200001) -> float:
 
     x = np.geomspace(lo, hi, n)
     return float(np.trapezoid(f(x), x))
+
+
+def reference_transform(samples, grid, normalization="bandpass_n1", boundary="periodic"):
+    """Time x scale coefficients from one full-length filter and one numpy
+    inverse FFT per scale: the plain loop that the blocked transform must
+    match bit for bit."""
+    import numpy as np
+
+    from morsekit.core import eval_spectrum
+
+    sig = np.asarray(samples)
+    n = len(sig)
+    m = n if boundary == "periodic" else 1 << (2 * n - 1).bit_length()
+    left = (m - n) // 2
+    buf = sig if m == n else np.pad(
+        sig, (left, m - n - left), mode="constant" if boundary == "zero" else "symmetric"
+    )
+    spectrum = np.fft.fft(buf)
+    k_pos = np.arange(m // 2 + 1)
+    omega_pos = 2.0 * np.pi * k_pos / m
+    coeffs = np.empty((n, len(grid.scales)), dtype=complex)
+    filt = np.zeros(m)
+    for j, s in enumerate(grid.scales):
+        filt[k_pos] = eval_spectrum(grid.params, s * omega_pos)
+        row = np.fft.ifft(spectrum * filt)
+        if normalization == "unitary_n_half":
+            row = row * math.sqrt(s)
+        coeffs[:, j] = row[left : left + n]
+    return coeffs

@@ -63,6 +63,18 @@ class TestProps:
         assert run("props", "1;1") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_more_than_six_pairs(self, tmp_path, capsys):
+        pairs = ["9,3", "3,3", "0,2", "0.4,3", "60,0.3", "58.6,0.32", "0.55,30", "1,1", "2,0.05"]
+        out = tmp_path / "props.csv"
+        assert run("props", *pairs, "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# morsekit props format=csv pairs=[(9.0, 3.0)..(2.0, 0.05)]x9"
+        _, rows = _read_csv(out)
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            tuple(float(v) for v in p.split(",")) for p in pairs
+        ]
+
 
 class TestMap:
     def test_small_map(self, tmp_path):
@@ -110,18 +122,13 @@ class TestMap:
         assert run("map") == 2
         assert "required" in capsys.readouterr().err
 
-    def test_thread_count_independence(self, tmp_path):
-        args = ["--beta", "0.55:20:9", "--gamma", "0.5:10:7"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        assert run("map", "--out", str(out1), "--threads", "1", *args) == 0
-        assert run("map", "--out", str(out2), "--threads", "4", *args) == 0
-        for name in (
-            "heisenberg_map.csv",
-            "skewness_zero.csv",
-            "localization_border.csv",
-            "constant_p_lines.csv",
-        ):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    @pytest.mark.parametrize("flag", ["--beta", "--gamma"])
+    def test_empty_list_rejected_before_writing(self, tmp_path, capsys, flag):
+        out = tmp_path / "map"
+        out.mkdir()
+        assert run("map", "--out", str(out), flag, ",") == 2
+        assert capsys.readouterr().err == "error: list must hold at least one value (got ',')\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "beta, gamma, error",
@@ -341,22 +348,6 @@ class TestCsvContract:
         assert run("map", "--out", str(out), "--beta", "1,2", "--gamma", "1,2") == 0
         for f in out.glob("*.csv"):
             assert f.read_text().startswith("# morsekit map")
-
-
-class TestThreadsEnvVar:
-    def test_env_default(self, monkeypatch):
-        from morsekit.cli import _build_parser
-
-        monkeypatch.setenv("MORSEKIT_THREADS", "3")
-        args = _build_parser().parse_args(["props", "1,1"])
-        assert args.threads == 3
-
-    def test_flag_overrides_env(self, monkeypatch):
-        from morsekit.cli import _build_parser
-
-        monkeypatch.setenv("MORSEKIT_THREADS", "3")
-        args = _build_parser().parse_args(["props", "1,1", "--threads", "7"])
-        assert args.threads == 7
 
 
 class TestDeterminismAcrossFormats:

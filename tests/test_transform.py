@@ -1,7 +1,10 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_transform
 
 from morsekit.core import MorseParams, duration, eval_spectrum, peak_frequency
 from morsekit.props import quadrature_integral
@@ -14,6 +17,8 @@ from morsekit.transform import (
 )
 
 P93 = MorseParams(9, 3)
+# the module, not the function of the same name the package exports
+TRANSFORM = sys.modules["morsekit.transform"]
 
 
 def _tone(n=1024, k=100):
@@ -213,6 +218,105 @@ class TestTransform:
                 normalization="bandpass_n1",
                 boundary="periodic",
             )
+
+
+def _noise(n, complex_signal=False, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    return x + 1j * rng.standard_normal(n) if complex_signal else x
+
+
+class TestBlockedTransform:
+    """The blocked filter bank against the plain one-scale-at-a-time loop."""
+
+    # odd and prime lengths, a complex signal; the spectra of (9, 3) and
+    # (3, 2) underflow to 0 below the Nyquist rate on most scales, those of
+    # (20, 1) and (60, 0.3) trail far past it
+    CASES = [
+        (1237, (9.0, 3.0), False),
+        (1031, (20.0, 1.0), True),
+        (2048, (3.0, 2.0), False),
+        (1500, (60.0, 0.3), True),
+    ]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
+    @pytest.mark.parametrize("normalization", ["bandpass_n1", "unitary_n_half"])
+    @pytest.mark.parametrize("n, params, complex_signal", CASES)
+    def test_bitwise_equal_to_reference(self, boundary, normalization, n, params,
+                                        complex_signal):
+        x = _noise(n, complex_signal)
+        grid = scale_grid(n, MorseParams(*params), density=4)
+        got = transform(SignalBuffer(x), grid, normalization, boundary).coefficients
+        assert got.shape == (n, len(grid)) and got.flags.f_contiguous
+        assert np.array_equal(got, reference_transform(x, grid, normalization, boundary))
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
+    def test_many_blocks_and_a_partial_last_one(self, monkeypatch, boundary):
+        n = 1237
+        x = _noise(n, seed=1)
+        grid = scale_grid(n, P93, density=4)
+        m = n if boundary == "periodic" else 4096
+        assert len(grid) % 5 != 0
+        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 5 * 16 * m + 1)
+        calls = []
+        ifft = TRANSFORM.scipy.fft.ifft
+        monkeypatch.setattr(TRANSFORM.scipy.fft, "ifft",
+                            lambda a, **kw: calls.append(len(a)) or ifft(a, **kw))
+        for normalization in ("bandpass_n1", "unitary_n_half"):
+            got = transform(SignalBuffer(x), grid, normalization, boundary).coefficients
+            assert np.array_equal(got, reference_transform(x, grid, normalization, boundary))
+        assert calls == 2 * ([5] * (len(grid) // 5) + [len(grid) % 5])
+
+    def test_worker_count_independence(self, monkeypatch):
+        n = 4096
+        x = _noise(n, seed=2)
+        grid = scale_grid(n, P93, density=8)
+        out = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+            out[workers] = [
+                transform(SignalBuffer(x), grid, boundary=b).coefficients.tobytes()
+                for b in ("periodic", "mirror")
+            ]
+        assert out[1] == out[2]
+
+    @pytest.mark.parametrize("params", [(9.0, 3.0), (20.0, 1.0), (3.0, 2.0), (60.0, 0.3)])
+    def test_support_cut_skips_only_exact_zeros(self, monkeypatch, params):
+        n = 2048
+        p = MorseParams(*params)
+        grid = scale_grid(n, p, density=4)
+        evaluated = []
+
+        def recording(q, omega):
+            if np.ndim(omega):  # a filter row, not a step of the cutoff search
+                evaluated.append(len(omega))
+            return eval_spectrum(q, omega)
+
+        monkeypatch.setattr(TRANSFORM, "eval_spectrum", recording)
+        transform(SignalBuffer(_noise(n)), grid)
+        omega_pos = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        assert len(evaluated) == len(grid)
+        for s, k in zip(grid.scales, evaluated):
+            assert np.all(eval_spectrum(p, s * omega_pos[k:]) == 0.0)
+        if params == (9.0, 3.0):
+            assert sum(evaluated) < 0.6 * len(grid) * len(omega_pos)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "mirror"])
+    def test_memory_is_output_plus_one_block(self, monkeypatch, boundary):
+        n = 4096
+        m = n if boundary == "periodic" else 2 * n
+        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 4 * 16 * m)
+        x = _noise(n, seed=3)
+        grid = scale_grid(n, P93, density=8)
+        tracemalloc.start()
+        try:
+            res = transform(SignalBuffer(x), grid, boundary=boundary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # spectrum, padded signal, bin frequencies and one row's filter
+        # temporaries are a few dozen bytes per padded sample
+        assert peak <= res.coefficients.nbytes + TRANSFORM._BLOCK_BYTES + 96 * m
 
 
 class TestRidgeCheck:
