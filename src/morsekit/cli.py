@@ -3,7 +3,10 @@ gallery, concentration curves, property tables, transform coefficients,
 Bessel-fit results, and limiting-form diagnostics as CSV or JSON.
 
 Outputs are deterministic: floats are printed with shortest round-trip
-formatting, infinities as "inf", undefined cells blank.
+formatting (so infinities as "inf"), complex CSV cells as re+imj,
+undefined cells blank.  One writer serves every command: CSV tables and
+the `cwt` JSON coefficients are written one row at a time, so a run holds
+its results plus one formatted row, never the whole text.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .props import (
 )
 from .superfamily import (
     BesselFitGrid,
+    _morlet_min_duration,
     bessel_fit,
     gaussianity_rho_sq,
     gmw_wavelet,
@@ -50,6 +54,8 @@ from .transform import SignalBuffer, scale_grid, transform
 
 DEFAULT_P_LINES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
 GALLERY_VALUES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
+GALLERY_COLUMNS = ("time_scaled", "wavelet_real", "wavelet_imag", "wavelet_modulus",
+                   "freq_scaled", "spectrum", "gaussian_approx", "quartic_approx")
 
 
 @dataclass
@@ -71,21 +77,21 @@ class RunConfig:
 
 
 def _fmt(v) -> str:
+    """One CSV cell.  Reals print as their shortest round-trip repr
+    ("inf", "-inf" and "nan" included), complex values as re+imj with the
+    sign taken from imag >= 0 (so -0.0 prints as +0.0j), None as blank."""
+    if isinstance(v, float):  # np.float64 too: float.__repr__ drops its type
+        return float.__repr__(v)
+    if isinstance(v, complex):
+        sign = "+" if v.imag >= 0 else "-"
+        return f"{float.__repr__(v.real)}{sign}{float.__repr__(abs(v.imag))}j"
     if v is None:
         return ""
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    v = float(v)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
-
-
-def _fmt_complex(c: complex) -> str:
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}j"
+    return repr(float(v))
 
 
 def _jsonable(v):
@@ -94,11 +100,7 @@ def _jsonable(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     v = float(v)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return v
+    return v if math.isfinite(v) else repr(v)  # "inf", "-inf", "nan"
 
 
 @contextlib.contextmanager
@@ -112,35 +114,35 @@ def _open_output(path: Path | None):
         yield f
 
 
-class _Sink:
-    """Writes one table to a CSV or JSON file (or stdout)."""
+def _write_csv(f, comments, columns, rows):
+    """Comment lines, the column line, then one line per row as it comes."""
+    for line in comments:
+        f.write(f"# {line}\n")
+    f.write(",".join(columns) + "\n")
+    for row in rows:
+        f.write(",".join(map(_fmt, row)) + "\n")
 
-    def __init__(self, cfg: RunConfig, path: Path | None):
-        self.cfg = cfg
-        self.path = path
 
-    def write(self, columns, rows, meta: dict | None = None):
-        if self.cfg.format == "json":
-            payload = {
-                "command": self.cfg.command,
-                "config": self.cfg.describe(),
-                "columns": list(columns),
-                "rows": [[_jsonable(v) for v in row] for row in rows],
-            }
-            if meta:
-                payload["meta"] = {k: _jsonable(v) for k, v in meta.items()}
-            text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
-        else:
-            lines = [f"# {self.cfg.describe()}"]
-            if meta:
-                for k, v in sorted(meta.items()):
-                    lines.append(f"# {k}={_fmt(v)}")
-            lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join(_fmt(v) for v in row))
-            text = "\n".join(lines) + "\n"
-        with _open_output(self.path) as f:
-            f.write(text)
+def _write_table(cfg: RunConfig, stem: str, columns, rows, meta: dict | None = None):
+    """Write one table to ``stem``'s output file (or stdout): CSV row by
+    row, or one JSON object built before the file is opened."""
+    meta = meta or {}
+    if cfg.format == "csv":
+        comments = [cfg.describe()] + [f"{k}={_fmt(v)}" for k, v in sorted(meta.items())]
+        with _open_output(_out_file(cfg, stem)) as f:
+            _write_csv(f, comments, columns, rows)
+        return
+    payload = {
+        "command": cfg.command,
+        "config": cfg.describe(),
+        "columns": list(columns),
+        "rows": [[_jsonable(v) for v in row] for row in rows],
+    }
+    if meta:
+        payload["meta"] = {k: _jsonable(v) for k, v in meta.items()}
+    text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    with _open_output(_out_file(cfg, stem)) as f:
+        f.write(text)
 
 
 def _out_file(cfg: RunConfig, stem: str) -> Path | None:
@@ -217,26 +219,24 @@ def cmd_map(cfg: RunConfig) -> int:
 
     b_grid, g_grid = np.meshgrid(betas, gammas, indexing="ij")
     areas = _heisenberg_area(b_grid, g_grid)
-    _Sink(cfg, _out_file(cfg, "heisenberg_map")).write(
+    _write_table(
+        cfg,
+        "heisenberg_map",
         ("beta", "gamma", "heisenberg_area"),
         zip(b_grid.ravel().tolist(), g_grid.ravel().tolist(), areas.ravel().tolist()),
     )
 
     sk_rows = _zero_skewness_rows(betas, min(gammas), max(gammas))
-    _Sink(cfg, _out_file(cfg, "skewness_zero")).write(("beta", "gamma_star"), sk_rows)
+    _write_table(cfg, "skewness_zero", ("beta", "gamma_star"), sk_rows)
 
     loc_rows = [(g, (g - 1.0) / 2.0) for g in gammas if g >= 1.0]
-    _Sink(cfg, _out_file(cfg, "localization_border")).write(
-        ("gamma", "beta_border"), loc_rows
-    )
+    _write_table(cfg, "localization_border", ("gamma", "beta_border"), loc_rows)
 
     p_rows = []
     for p_val in cfg.options["p_lines"]:
         for g in gammas:
             p_rows.append((p_val, p_val**2 / g, g))
-    _Sink(cfg, _out_file(cfg, "constant_p_lines")).write(
-        ("duration", "beta", "gamma"), p_rows
-    )
+    _write_table(cfg, "constant_p_lines", ("duration", "beta", "gamma"), p_rows)
     return 0
 
 
@@ -252,55 +252,37 @@ def cmd_gallery(cfg: RunConfig) -> int:
             wp, pd = peak_frequency(p), duration(p)
             t_span = 20.0 * pd / wp
             wf = sample_wavelet(p, 1.0, n, t_span / n)
-            t_scaled = wf.times * wp / pd
             freq_scaled = np.linspace(0.0, 3.0, n)
-            spec = eval_spectrum(p, freq_scaled * wp)
-            gauss = approx_spectrum(p, freq_scaled * wp, order=2)
-            quart = approx_spectrum(p, freq_scaled * wp, order=4)
-            rows = [
-                (
-                    t_scaled[i],
-                    wf.values[i].real,
-                    wf.values[i].imag,
-                    abs(wf.values[i]),
-                    freq_scaled[i],
-                    spec[i],
-                    gauss[i],
-                    quart[i],
-                )
-                for i in range(n)
-            ]
+            columns = (
+                wf.times * wp / pd,
+                wf.values.real,
+                wf.values.imag,
+                # libm's hypot, as abs() on each value; np.abs's vectorized
+                # loop can differ from it in the last bit
+                np.hypot(wf.values.real, wf.values.imag),
+                freq_scaled,
+                eval_spectrum(p, freq_scaled * wp),
+                approx_spectrum(p, freq_scaled * wp, order=2),
+                approx_spectrum(p, freq_scaled * wp, order=4),
+            )
             stem = f"pair_beta{_fmt(b)}_gamma{_fmt(g)}".replace(".", "p")
-            _Sink(cfg, _out_file(cfg, stem)).write(
-                (
-                    "time_scaled",
-                    "wavelet_real",
-                    "wavelet_imag",
-                    "wavelet_modulus",
-                    "freq_scaled",
-                    "spectrum",
-                    "gaussian_approx",
-                    "quartic_approx",
-                ),
-                rows,
+            _write_table(
+                cfg,
+                stem,
+                GALLERY_COLUMNS,
+                zip(*(c.tolist() for c in columns)),
                 meta={"beta": b, "gamma": g, "peak_frequency": wp, "duration": pd},
             )
-            ext = "json" if cfg.format == "json" else "csv"
-            index_rows.append((f"{stem}.{ext}", b, g, wp, pd))
-    _Sink(cfg, _out_file(cfg, "index")).write(
-        ("file", "beta", "gamma", "peak_frequency", "duration"), index_rows
+            index_rows.append((_out_file(cfg, stem).name, b, g, wp, pd))
+    _write_table(
+        cfg, "index", ("file", "beta", "gamma", "peak_frequency", "duration"), index_rows
     )
     return 0
 
 
 def _morlet_curve_point(p_dur: float):
-    """(1/A, rho^2) of the Morlet wavelet at matched duration, or blanks."""
-    try:
-        nu = morlet_nu_for_duration(p_dur)
-    except ValueError as exc:
-        print(f"warning: P={p_dur:g}: {exc}", file=sys.stderr)
-        return None, None
-    wav = morlet_wavelet(nu)
+    """(1/A, rho^2) of the Morlet wavelet at matched duration."""
+    wav = morlet_wavelet(morlet_nu_for_duration(p_dur))
     m0 = quadrature_moment(wav.spectrum, 0, "energy", full_line=True)
     m1 = quadrature_moment(wav.spectrum, 1, "energy", full_line=True)
     m2 = quadrature_moment(wav.spectrum, 2, "energy", full_line=True)
@@ -317,6 +299,7 @@ def cmd_curves(cfg: RunConfig) -> int:
     columns += [f"inv_area_gamma{_fmt(g)}" for g in gammas] + ["inv_area_morlet"]
     columns += [f"rho2_gamma{_fmt(g)}" for g in gammas] + ["rho2_morlet"]
 
+    p_min = _morlet_min_duration()
     rows = []
     for p_dur in p_grid:
         row = [p_dur]
@@ -332,9 +315,16 @@ def cmd_curves(cfg: RunConfig) -> int:
             p = MorseParams(b, g)
             inv_a.append(1.0 / heisenberg_area(p))
             rho.append(gaussianity_rho_sq(gmw_wavelet(p)))
-        m_inv, m_rho = _morlet_curve_point(p_dur)
+        m_inv, m_rho = _morlet_curve_point(p_dur) if p_dur > p_min else (None, None)
         rows.append(row + inv_a + [m_inv] + rho + [m_rho])
-    _Sink(cfg, _out_file(cfg, "concentration_curves")).write(columns, rows)
+    short = [p_dur for p_dur in p_grid if p_dur <= p_min]
+    if short:
+        print(
+            f"warning: Morlet columns blank for P in [{min(short):g}, {max(short):g}]: "
+            f"no Morlet wavelet has duration at or below {p_min:.4g}",
+            file=sys.stderr,
+        )
+    _write_table(cfg, "concentration_curves", columns, rows)
     return 0
 
 
@@ -372,7 +362,7 @@ def cmd_props(cfg: RunConfig) -> int:
                 int(p.in_localization_region),
             )
         )
-    _Sink(cfg, _out_file(cfg, "properties")).write(columns, rows)
+    _write_table(cfg, "properties", columns, rows)
     return 0
 
 
@@ -428,35 +418,37 @@ def cmd_cwt(cfg: RunConfig) -> int:
     norm = "unitary_n_half" if cfg.options["norm"] == "nhalf" else "bandpass_n1"
     res = transform(sig, grid, normalization=norm, boundary=cfg.options["boundary"])
 
-    n = res.coefficients.shape[0]
-    times = np.arange(n) * sig.dt
+    coef = res.coefficients
     if cfg.format == "json":
-        payload = {
-            "command": "cwt",
-            "config": cfg.describe(),
-            "dt": sig.dt,
-            "normalization": res.normalization,
-            "boundary": res.boundary,
-            "scales": [float(s) for s in grid.scales],
-            "peak_frequencies": [float(f) for f in grid.peak_frequencies(sig.dt)],
-            "real": [[float(v) for v in row] for row in res.coefficients.real],
-            "imag": [[float(v) for v in row] for row in res.coefficients.imag],
-        }
+        # the bytes of json.dumps on the whole payload, written one row at a
+        # time: the metadata object without its closing brace, then each
+        # part's rows, then the brace
+        head = json.dumps(dict(
+            command="cwt", config=cfg.describe(), dt=sig.dt,
+            normalization=res.normalization, boundary=res.boundary,
+            scales=grid.scales.tolist(),
+            peak_frequencies=grid.peak_frequencies(sig.dt).tolist(),
+        ), allow_nan=False)
+        if not np.isfinite(coef).all():
+            raise ValueError("coefficients hold inf or nan, which JSON cannot represent")
         with _open_output(_out_file(cfg, "cwt")) as f:
-            f.write(json.dumps(payload, allow_nan=False) + "\n")
+            f.write(head[:-1])
+            for key, part in (("real", coef.real), ("imag", coef.imag)):
+                f.write(f', "{key}": [')
+                for i, row in enumerate(part):
+                    f.write((", " if i else "") + json.dumps(row.tolist()))
+                f.write("]")
+            f.write("}\n")
         return 0
 
-    columns = ["t"] + [f"scale={_fmt(float(s))}" for s in grid.scales]
-    # one row at a time: the whole table as text is several times the
-    # size of the coefficients
-    header = (f"# {cfg.describe()}\n"
-              f"# dt={_fmt(sig.dt)} normalization={res.normalization} "
-              f"boundary={res.boundary}\n" + ",".join(columns) + "\n")
+    comments = [
+        cfg.describe(),
+        f"dt={_fmt(sig.dt)} normalization={res.normalization} boundary={res.boundary}",
+    ]
+    columns = ["t"] + [f"scale={_fmt(s)}" for s in grid.scales.tolist()]
+    times = (np.arange(coef.shape[0]) * sig.dt).tolist()
     with _open_output(_out_file(cfg, "cwt")) as f:
-        f.write(header)
-        for t, row in zip(times.tolist(), res.coefficients):
-            cells = [_fmt(t)] + [_fmt_complex(c) for c in row.tolist()]
-            f.write(",".join(cells) + "\n")
+        _write_csv(f, comments, columns, ([t] + row.tolist() for t, row in zip(times, coef)))
     return 0
 
 
@@ -476,7 +468,9 @@ def cmd_besselfit(cfg: RunConfig) -> int:
         f"({len(res.grid_trace)} evaluations)"
     )
     if cfg.out is not None:
-        _Sink(cfg, _out_file(cfg, "besselfit_trace")).write(
+        _write_table(
+            cfg,
+            "besselfit_trace",
             ("beta", "gamma", "alpha_sq"),
             res.grid_trace,
             meta={
@@ -492,7 +486,9 @@ def cmd_limits(cfg: RunConfig) -> int:
     rows = limit_diagnostics(
         cfg.options["pvalue"], cfg.options["gamma"], target=cfg.options["target"]
     )
-    _Sink(cfg, _out_file(cfg, "limit_deviations")).write(
+    _write_table(
+        cfg,
+        "limit_deviations",
         ("gamma", "beta", "sup_deviation"),
         [(r.gamma, r.beta, r.sup_deviation) for r in rows],
         meta={"duration": cfg.options["pvalue"], "target": cfg.options["target"]},
@@ -617,6 +613,9 @@ def _config_from_args(args) -> RunConfig:
         cfg.options["pvalue"] = args.pvalue
         cfg.options["gamma"] = [float(v) for v in args.gamma.split(",")]
         cfg.options["target"] = args.target
+    if args.command in ("curves", "limits"):
+        for g in cfg.options["gamma"]:
+            MorseParams(0.0, g)  # rejects a bad gamma in MorseParams' own words
     return cfg
 
 

@@ -213,14 +213,23 @@ def morlet_spectrum(m: MorletParams, omega):
     return float(out) if np.ndim(omega) == 0 else out
 
 
+def _morlet_min_duration() -> float:
+    """The shortest duration `morlet_nu_for_duration` reaches, about 1.432:
+    the duration at the peak solver's floor nu = 0.1.  The duration keeps
+    falling towards its nu -> 0 limit sqrt(2) below that floor, but the
+    solver does not go there."""
+    return morlet_peak_and_duration(MorletParams(0.1))[1]
+
+
 def morlet_nu_for_duration(p_target: float, nu_max: float = 200.0) -> float:
-    """Invert the duration map: the nu whose Morlet duration equals
-    p_target.  The duration decreases to sqrt(2) as nu -> 0, so targets
-    at or below that are unreachable and raise."""
+    """Invert the duration map: the nu in [0.1, nu_max] whose Morlet
+    duration equals p_target.  Targets at or below `_morlet_min_duration`
+    (about 1.432, not the nu -> 0 limit sqrt(2)) are unreachable and
+    raise."""
     from scipy.optimize import brentq
 
     lo, hi = 0.1, nu_max
-    p_lo = morlet_peak_and_duration(MorletParams(lo))[1]
+    p_lo = _morlet_min_duration()
     if p_target <= p_lo:
         raise ValueError(
             f"no Morlet wavelet has duration {p_target:.4g} "

@@ -1,12 +1,18 @@
 import json
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from morsekit.cli import main
+from morsekit.cli import _fmt, main
 from morsekit.core import MorseParams, peak_frequency
+from morsekit.transform import SignalBuffer, scale_grid, transform
+
+# the module, not the function of the same name the package exports
+TRANSFORM = sys.modules["morsekit.transform"]
 
 
 def run(*argv):
@@ -193,8 +199,11 @@ class TestGallery:
         sel = (x > 0) & (x <= 0.5)
         mirrored = np.interp(-x[sel], x, diff)
         assert np.max(np.abs(diff[sel] - mirrored)) < 1e-12
-        # modulus symmetric about the center (odd length: all samples pair)
+        # |z| as abs() gives it on each value, to the last bit
         mod = data["wavelet_modulus"]
+        z = data["wavelet_real"] + 1j * data["wavelet_imag"]
+        assert mod.tolist() == [abs(v) for v in z.tolist()]
+        # modulus symmetric about the center (odd length: all samples pair)
         n = len(mod)
         assert n % 2 == 1
         assert np.max(np.abs(mod[n // 2 + 1 :] - mod[: n // 2][::-1])) < 1e-10
@@ -246,6 +255,30 @@ class TestCurves:
         assert by_p[2.0][jm] != ""
         assert "warning" in capsys.readouterr().err
 
+    def test_one_warning_for_all_unreachable_durations(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        assert run("curves", "--pgrid", "0.5:0.1:1.5", "--gamma", "3", "--out", str(out)) == 0
+        assert capsys.readouterr().err == (
+            "warning: Morlet columns blank for P in [0.5, 1.4]: "
+            "no Morlet wavelet has duration at or below 1.432\n"
+        )
+        cols, rows = _read_csv(out)
+        blank = [float(r[0]) for r in rows if r[cols.index("rho2_morlet")] == ""]
+        assert len(blank) == 10 and max(blank) < 1.432 < float(rows[-1][0])
+
+
+class TestGammaGuard:
+    @pytest.mark.parametrize("cmd", ["curves", "limits"])
+    @pytest.mark.parametrize("gamma, shown", [("0", "0.0"), ("-1", "-1.0"), ("2,nan", "nan")])
+    def test_rejected_before_writing(self, tmp_path, capsys, cmd, gamma, shown):
+        out = tmp_path / "out.csv"
+        argv = [cmd, f"--gamma={gamma}", "--out", str(out)]
+        if cmd == "curves":
+            argv += ["--pgrid", "2:1:3"]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: gamma must be finite and > 0 (got {shown})\n"
+        assert not out.exists()
+
 
 class TestCwt:
     def test_ridge_at_predicted_scale(self, tmp_path, cosine_file):
@@ -278,6 +311,66 @@ class TestCwt:
         assert payload["normalization"] == "bandpass_n1"
         assert len(payload["real"]) == 1024
         assert len(payload["real"][0]) == len(payload["scales"])
+
+    def test_json_bytes_equal_whole_payload_dump(self, tmp_path, cosine_file):
+        path, _ = cosine_file
+        out = tmp_path / "cwt.json"
+        argv = ["--signal", str(path), "--out", str(out), "--format", "json",
+                "--boundary", "mirror", "--norm", "nhalf", "--density", "6"]
+        assert run("cwt", *argv) == 0
+        x = np.array([float(v) for v in path.read_text().splitlines()[1:]])
+        grid = scale_grid(len(x), MorseParams(9, 3), density=6)
+        res = transform(SignalBuffer(x, dt=1.0), grid, "unitary_n_half", "mirror")
+        payload = {
+            "command": "cwt",
+            "config": "morsekit cwt format=json boundary=mirror density=6 eta=0.1 "
+            f"norm=nhalf p0=5.0 signal={path} wavelet_beta=9.0 wavelet_gamma=3.0",
+            "dt": 1.0,
+            "normalization": "unitary_n_half",
+            "boundary": "mirror",
+            "scales": [float(s) for s in grid.scales],
+            "peak_frequencies": [float(f) for f in grid.peak_frequencies(1.0)],
+            "real": [[float(v) for v in row] for row in res.coefficients.real],
+            "imag": [[float(v) for v in row] for row in res.coefficients.imag],
+        }
+        text, expected = out.read_text(), json.dumps(payload, allow_nan=False) + "\n"
+        # a plain bool: pytest's diff of two 1.6 MB strings would take minutes
+        same = text == expected
+        first = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), None)
+        assert same, f"lengths {len(text)}, {len(expected)}; first difference at {first}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_is_coefficients_plus_one_row(self, tmp_path, monkeypatch, fmt):
+        n = 4096
+        path = tmp_path / "noise.txt"
+        noise = np.random.default_rng(0).standard_normal(n).tolist()
+        path.write_text("\n".join(map(repr, noise)) + "\n")
+        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 4 * 16 * n)
+        n_scales = len(scale_grid(n, MorseParams(9, 3), density=8))
+        out = tmp_path / f"cwt.{fmt}"
+        tracemalloc.start()
+        try:
+            assert run("cwt", "--signal", str(path), "--density", "8",
+                       "--format", fmt, "--out", str(out)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the transform's own bound (coefficients, one block, a few dozen
+        # bytes per sample), plus one row as Python floats and text
+        assert peak <= 16 * n * n_scales + TRANSFORM._BLOCK_BYTES + 96 * n + 128 * n_scales
+
+    def test_json_overflow_rejected_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("1e308\n-1e308\n" * 64)  # the FFT overflows to inf
+        out = tmp_path / "cwt.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = run("cwt", "--signal", str(path), "--format", "json", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: coefficients hold inf or nan, which JSON cannot represent\n"
+        )
+        assert not out.exists()
 
     def test_complex_two_column_input(self, tmp_path):
         n = 256
@@ -365,3 +458,31 @@ class TestDeterminismAcrossFormats:
                 assert val == "inf"
             else:
                 assert float(txt) == pytest.approx(float(val), rel=0, abs=0)
+
+
+class TestFmt:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (complex(1.5, 0.0), "1.5+0.0j"),
+            (complex(1.5, -0.0), "1.5+0.0j"),  # the sign comes from imag >= 0
+            (complex(-0.0, -2.0), "-0.0-2.0j"),
+            (complex(math.inf, -math.inf), "inf-infj"),
+            (complex(-math.inf, math.inf), "-inf+infj"),
+            (complex(math.nan, math.nan), "nan-nanj"),
+            (np.complex128(0.1 - 0.2j), "0.1-0.2j"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (0.1, "0.1"),
+            (np.float64(0.1), "0.1"),
+            (np.float64(-math.inf), "-inf"),
+            (np.float32(0.5), "0.5"),
+            (np.int64(-7), "-7"),
+            (3, "3"),
+            (None, ""),
+            ("beta", "beta"),
+        ],
+    )
+    def test_cells(self, value, text):
+        assert _fmt(value) == text

@@ -9,6 +9,7 @@ from morsekit.props import quadrature_moment
 from morsekit.superfamily import (
     BesselFitGrid,
     MorletParams,
+    _morlet_min_duration,
     analytic_filter_spectrum,
     analytic_filter_time_samples,
     analytic_filter_wavelet,
@@ -69,6 +70,16 @@ class TestMorlet:
     def test_nu_inversion_unreachable(self):
         with pytest.raises(ValueError, match="duration"):
             morlet_nu_for_duration(1.2)
+
+    def test_min_duration_is_the_solver_floor_not_the_limit(self):
+        # the duration keeps falling below nu = 0.1 towards sqrt(2), but
+        # the solver stops at nu = 0.1, where it is about 1.432
+        p_min = _morlet_min_duration()
+        assert p_min == pytest.approx(1.432, abs=5e-4)
+        assert morlet_peak_and_duration(MorletParams(0.101))[1] > p_min > math.sqrt(2)
+        with pytest.raises(ValueError, match=f"minimum reachable is {p_min:.4g}"):
+            morlet_nu_for_duration(p_min)
+        assert morlet_nu_for_duration(p_min * (1 + 1e-9)) == pytest.approx(0.1, rel=1e-6)
 
     @pytest.mark.parametrize("nu", [1.8414, 3.0, 6.0])
     def test_quadrature_spreads_match_closed_forms(self, nu):
