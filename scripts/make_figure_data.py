@@ -11,9 +11,9 @@ Runs the four CLI exports at their default resolutions:
            for gamma = 1..6 and the Morlet wavelet
   limits   lognormal- and band-pass-limit sup deviations
 
-Takes about 10 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17),
-almost all of it in curves; map takes 0.3 s.  Everything runs in one
-thread.
+Takes about 1.2 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17),
+half of it start-up and import; curves takes 0.3 s and map 0.2 s.
+Everything runs in one thread.
 """
 
 import sys

@@ -35,20 +35,19 @@ from .props import (
     _heisenberg_area,
     _skewness,
     heisenberg_area,
-    quadrature_moment,
     sigma_omega,
     sigma_t,
     skewness_freq,
 )
 from .superfamily import (
     BesselFitGrid,
+    MorletParams,
+    _morlet_area_and_rho_sq,
     _morlet_min_duration,
+    _morse_rho_sq,
     bessel_fit,
-    gaussianity_rho_sq,
-    gmw_wavelet,
     limit_diagnostics,
     morlet_nu_for_duration,
-    morlet_wavelet,
 )
 from .transform import SignalBuffer, scale_grid, transform
 
@@ -145,12 +144,18 @@ def _write_table(cfg: RunConfig, stem: str, columns, rows, meta: dict | None = N
         f.write(text)
 
 
+# commands that write several tables: their --out is always a directory
+MULTI_TABLE_COMMANDS = ("map", "gallery")
+
+
 def _out_file(cfg: RunConfig, stem: str) -> Path | None:
+    """The file for one table: ``--out`` itself when it has a suffix and
+    the command writes one table, else ``stem``'s file inside it."""
     if cfg.out is None:
         return None
     ext = "json" if cfg.format == "json" else "csv"
     out = cfg.out
-    if out.suffix:  # a file path was given directly
+    if out.suffix and cfg.command not in MULTI_TABLE_COMMANDS:
         return out
     return out / f"{stem}.{ext}"
 
@@ -177,6 +182,8 @@ def _parse_pgrid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"pgrid must be start:step:stop (got {text!r})")
     start, step, stop = (float(v) for v in parts)
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValueError(f"pgrid values must be finite (got {text!r})")
     if step <= 0 or stop < start:
         raise ValueError(f"bad pgrid {text!r}")
     n = int(round((stop - start) / step))
@@ -244,36 +251,37 @@ def cmd_gallery(cfg: RunConfig) -> int:
     betas = cfg.options["beta"]
     gammas = cfg.options["gamma"]
     n = 511  # odd: symmetric time grid, and the frequency grid hits 1 exactly
+    # every pair is checked before the first file is written
+    pairs = [MorseParams(b, g) for b in betas for g in gammas]
 
     index_rows = []
-    for b in betas:
-        for g in gammas:
-            p = MorseParams(b, g)
-            wp, pd = peak_frequency(p), duration(p)
-            t_span = 20.0 * pd / wp
-            wf = sample_wavelet(p, 1.0, n, t_span / n)
-            freq_scaled = np.linspace(0.0, 3.0, n)
-            columns = (
-                wf.times * wp / pd,
-                wf.values.real,
-                wf.values.imag,
-                # libm's hypot, as abs() on each value; np.abs's vectorized
-                # loop can differ from it in the last bit
-                np.hypot(wf.values.real, wf.values.imag),
-                freq_scaled,
-                eval_spectrum(p, freq_scaled * wp),
-                approx_spectrum(p, freq_scaled * wp, order=2),
-                approx_spectrum(p, freq_scaled * wp, order=4),
-            )
-            stem = f"pair_beta{_fmt(b)}_gamma{_fmt(g)}".replace(".", "p")
-            _write_table(
-                cfg,
-                stem,
-                GALLERY_COLUMNS,
-                zip(*(c.tolist() for c in columns)),
-                meta={"beta": b, "gamma": g, "peak_frequency": wp, "duration": pd},
-            )
-            index_rows.append((_out_file(cfg, stem).name, b, g, wp, pd))
+    for p in pairs:
+        b, g = p.beta, p.gamma
+        wp, pd = peak_frequency(p), duration(p)
+        t_span = 20.0 * pd / wp
+        wf = sample_wavelet(p, 1.0, n, t_span / n)
+        freq_scaled = np.linspace(0.0, 3.0, n)
+        columns = (
+            wf.times * wp / pd,
+            wf.values.real,
+            wf.values.imag,
+            # libm's hypot, as abs() on each value; np.abs's vectorized
+            # loop can differ from it in the last bit
+            np.hypot(wf.values.real, wf.values.imag),
+            freq_scaled,
+            eval_spectrum(p, freq_scaled * wp),
+            approx_spectrum(p, freq_scaled * wp, order=2),
+            approx_spectrum(p, freq_scaled * wp, order=4),
+        )
+        stem = f"pair_beta{_fmt(b)}_gamma{_fmt(g)}".replace(".", "p")
+        _write_table(
+            cfg,
+            stem,
+            GALLERY_COLUMNS,
+            zip(*(c.tolist() for c in columns)),
+            meta={"beta": b, "gamma": g, "peak_frequency": wp, "duration": pd},
+        )
+        index_rows.append((_out_file(cfg, stem).name, b, g, wp, pd))
     _write_table(
         cfg, "index", ("file", "beta", "gamma", "peak_frequency", "duration"), index_rows
     )
@@ -282,14 +290,8 @@ def cmd_gallery(cfg: RunConfig) -> int:
 
 def _morlet_curve_point(p_dur: float):
     """(1/A, rho^2) of the Morlet wavelet at matched duration."""
-    wav = morlet_wavelet(morlet_nu_for_duration(p_dur))
-    m0 = quadrature_moment(wav.spectrum, 0, "energy", full_line=True)
-    m1 = quadrature_moment(wav.spectrum, 1, "energy", full_line=True)
-    m2 = quadrature_moment(wav.spectrum, 2, "energy", full_line=True)
-    d = quadrature_moment(wav.spectrum, 0, "derivative_energy", full_line=True)
-    mu = m1 / m0
-    area = math.sqrt(d / m0) * math.sqrt(m2 / m0 - mu * mu)
-    return 1.0 / area, gaussianity_rho_sq(wav)
+    area, rho_sq = _morlet_area_and_rho_sq(MorletParams(morlet_nu_for_duration(p_dur)))
+    return 1.0 / area, rho_sq
 
 
 def cmd_curves(cfg: RunConfig) -> int:
@@ -299,24 +301,22 @@ def cmd_curves(cfg: RunConfig) -> int:
     columns += [f"inv_area_gamma{_fmt(g)}" for g in gammas] + ["inv_area_morlet"]
     columns += [f"rho2_gamma{_fmt(g)}" for g in gammas] + ["rho2_morlet"]
 
+    # each Morse column kind in one call on the whole (P, gamma) grid
+    g_row = np.asarray(gammas, dtype=float)
+    b_grid = np.square(p_grid)[:, None] / g_row
+    inv_area = 1.0 / _heisenberg_area(b_grid, g_row)
+    # beta = 0 (P = 0) has no rho^2: a placeholder beta, then a blank cell
+    rho = _morse_rho_sq(np.where(b_grid > 0, b_grid, 1.0), g_row)
+
     p_min = _morlet_min_duration()
     rows = []
-    for p_dur in p_grid:
-        row = [p_dur]
-        inv_a, rho = [], []
-        for g in gammas:
-            b = p_dur**2 / g
-            if b <= 0.5:
-                inv_a.append(None)
-                rho.append(None if b <= 0 else gaussianity_rho_sq(
-                    gmw_wavelet(MorseParams(b, g))
-                ))
-                continue
-            p = MorseParams(b, g)
-            inv_a.append(1.0 / heisenberg_area(p))
-            rho.append(gaussianity_rho_sq(gmw_wavelet(p)))
+    for p_dur, b_row, a_row, r_row in zip(
+        p_grid, b_grid.tolist(), inv_area.tolist(), rho.tolist()
+    ):
+        inv_a = [a if b > 0.5 else None for b, a in zip(b_row, a_row)]
+        rho_sq = [r if b > 0 else None for b, r in zip(b_row, r_row)]
         m_inv, m_rho = _morlet_curve_point(p_dur) if p_dur > p_min else (None, None)
-        rows.append(row + inv_a + [m_inv] + rho + [m_rho])
+        rows.append([p_dur] + inv_a + [m_inv] + rho_sq + [m_rho])
     short = [p_dur for p_dur in p_grid if p_dur <= p_min]
     if short:
         print(

@@ -8,8 +8,9 @@ Closed forms come from the generalized-gamma integral
 evaluated through log-gamma, once, as kernels on raw (beta, gamma) arrays
 that broadcast over a whole grid of the parameter plane; the MorseParams
 functions wrap them.  An independent adaptive-quadrature oracle
-(`quadrature_moment`) checks every closed form and is the only property
-path for non-Morse spectra such as the Morlet.
+(`quadrature_moment`, `quadrature_integral`) checks every closed form; no
+CLI command calls it.  Its QUADPACK fallback imports `scipy.integrate` on
+first use, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .core import MorseParams, log_amplitude_constant, peak_frequency
@@ -412,6 +412,15 @@ def _adaptive_gk(g, a: float, b: float, epsabs: float, rtol: float, limit: int =
     return total, total_err
 
 
+def quad(*args, **kwargs):
+    """`scipy.integrate.quad`, imported on the first call: it is only the
+    fallback of `quadrature_integral`, and the import pulls in
+    `scipy.optimize`, `scipy.sparse` and `scipy.linalg`."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def quadrature_integral(
     f,
     gamma_eff: float = 1.0,
@@ -429,8 +438,12 @@ def quadrature_integral(
     falls below 1e-18 of its maximum, and an integrable power singularity
     at the origin is flattened by a further v = u**(1/(p+1)) change of
     variable with p estimated from the probe.  If the subdivision loop
-    cannot reach tolerance, QUADPACK's extrapolating integrator is tried;
-    failure there raises QuadratureError with the achieved tolerance.
+    cannot reach tolerance, QUADPACK's extrapolating integrator is tried
+    (`quad`, which imports `scipy.integrate` only then); failure there
+    raises QuadratureError with the achieved tolerance.
+
+    This is the test oracle for the closed forms and for the fixed-node
+    rules in `superfamily`; no CLI command calls it.
     """
     if full_line:
         lo, hi = probe_span if probe_span is not None else (-200.0, 200.0)

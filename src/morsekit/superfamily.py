@@ -10,8 +10,11 @@ approximated to alpha^2 ~ 0.9995 near (beta, gamma) = (22, 1/10), which
 `bessel_fit` recovers by grid search plus pattern-search refinement (compass
 and diagonal moves).  The fit scores whole rows of the grid at once with
 closed-form self-energies and a fixed-node trapezoid in ln(omega) for the
-cross integral; the adaptive quadrature behind `similarity_alpha_sq` stays
-the independent oracle.
+cross integral; `_morse_rho_sq` scores Gaussian similarity the same way on
+a whole grid, and `_morlet_area_and_rho_sq` gives the Morlet's area and
+similarity from Gaussian integrals in closed form.  The adaptive
+quadrature behind `similarity_alpha_sq` and `gaussianity_rho_sq` stays the
+independent oracle.
 Growing beta at fixed gamma shrinks the relative bandwidth
 sigma_omega/omega_peak toward zero, so in that corner the members tend to
 pure complex exponentials (a diagnostic, not a constructible member).
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import k1
+from scipy.special import erf, k1
 
 from .core import MorseParams, _rescaled_log_shape, duration, eval_rescaled_spectrum
 from .props import _log_gengamma_integral, quadrature_integral
@@ -237,6 +240,51 @@ def morlet_nu_for_duration(p_target: float, nu_max: float = 200.0) -> float:
         )
     f = lambda nu: morlet_peak_and_duration(MorletParams(nu))[1] - p_target
     return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+
+
+def _morlet_area_and_rho_sq(m: MorletParams) -> tuple[float, float]:
+    """Heisenberg area and `gaussianity_rho_sq` of the Morlet wavelet from
+    closed-form Gaussian integrals over the full frequency line; only the
+    peak solve of `morlet_peak_and_duration` is iterative.
+
+    Up to the amplitude, which cancels in both, the spectrum is
+    G1 - k G0 with G1 = exp(-(w - nu)^2/2), G0 = exp(-w^2/2) and
+    k = exp(-nu^2/2).  Its square is three Gaussians of variance 1/2 about
+    nu, nu/2 and 0 with weights sqrt(pi) times 1, -2 e^(-3 nu^2/4) and
+    e^(-nu^2); with x = nu^2 and e(c) = expm1(-c x) the moments over
+    sqrt(pi) are
+
+        m0 = e(1) - 2 e(3/4),    m1 = -nu e(3/4),
+        m2 = x/2 - (1 + x/2) e(3/4) + e(1)/2,
+
+    and the derivative energy int |Psi'|^2 dw over sqrt(pi) is
+    x/2 - (1 - x/2) e(3/4) + e(1)/2, each free of the cancellation of
+    order 1 terms that the plain forms suffer at small nu.  The cross
+    integral with the bell 2 exp(-q (w - w_p)^2), q = (P/w_p)^2/2, is the
+    difference of two Gaussian products, and the bell's energy is
+    4 sqrt(pi/(2 q)).
+    """
+    nu = m.nu
+    wp, p_dur = morlet_peak_and_duration(m)
+    x = nu * nu
+    e1, e34 = math.expm1(-x), math.expm1(-0.75 * x)
+    m0 = e1 - 2.0 * e34
+    m1 = -nu * e34
+    m2 = 0.5 * x - (1.0 + 0.5 * x) * e34 + 0.5 * e1
+    d = 0.5 * x - (1.0 - 0.5 * x) * e34 + 0.5 * e1
+    mu = m1 / m0
+    area = math.sqrt(d / m0) * math.sqrt(m2 / m0 - mu * mu)
+
+    q = 0.5 * (p_dur / wp) ** 2
+    c = q / (1.0 + 2.0 * q)
+    # int (G1 - k G0) exp(-q (w - w_p)^2) dw / sqrt(pi/(1/2 + q))
+    #   = exp(-c (w_p - nu)^2) - exp(-x/2 - c w_p^2)
+    cross = math.exp(-c * (wp - nu) ** 2) * -math.expm1(
+        -0.5 * x - c * nu * (2.0 * wp - nu)
+    )
+    # (2 cross)^2 pi/(1/2 + q) over (sqrt(pi) m0 times 4 sqrt(pi/(2 q)))
+    rho_sq = cross * cross * math.sqrt(2.0 * q) / ((0.5 + q) * m0)
+    return area, rho_sq
 
 
 # ---------------------------------------------------------------------------
@@ -454,20 +502,74 @@ def gaussianity_rho_sq(w: NamedWavelet) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The cross integral int S_m S_b dw runs over a fixed window in u = ln w:
-# outside [1e-3, 60] the Bessel factor e^(2 - w - 1/w) is below 1e-26 while
-# the peak-rescaled Morse factor never exceeds 2, whatever (beta, gamma).
-_BESSEL_LOG_LO, _BESSEL_LOG_HI = math.log(1e-3), math.log(60.0)
-_BESSEL_MIN_NODES = 2001
+# Fixed-node rules.  The cross integrals behind alpha^2 and rho^2 are
+# trapezoid sums in u = ln w on uniform nodes, with the integrand formed as
+# exp(ln S_m + ln S_other + u); the rule converges geometrically for these
+# smooth integrands, which decay at both ends of the window (Trefethen and
+# Weideman, SIAM Review 56, 2014).  The self-energies are closed forms.
+
+_MIN_NODES = 2001
 # node spacing at most a quarter of the narrowest feature of the rescaled
 # Morse spectrum in u: its bump is about 1/P wide (P = sqrt(beta*gamma))
 # and its upper flank falls over about 1/gamma
 _NODES_PER_WIDTH = 4.0
+# integrand values held at once (2 MB): narrow spectra need many nodes,
+# and a long row times many nodes would otherwise take GBs
+_TRAPEZOID_BLOCK = 1 << 18
+
+
+def _node_count(sharpness: float, u_lo: float, u_hi: float) -> int:
+    """Nodes resolving features 1/sharpness wide in u over [u_lo, u_hi]."""
+    return max(
+        _MIN_NODES, math.ceil(_NODES_PER_WIDTH * sharpness * (u_hi - u_lo)) + 1
+    )
+
+
+def _log_trapezoid(log_integrand, n_cells: int, n_nodes: int, du: float):
+    """ln of du times the sum of exp(log_integrand(cells)) over the nodes,
+    for each of n_cells cells.  ``log_integrand`` maps a slice of the cells
+    to their (cells, nodes) log integrand; the cells are taken in blocks of
+    at most _TRAPEZOID_BLOCK values.  The plain sum times du is the
+    trapezoid rule because the integrand is negligible at both end nodes.
+    """
+    chunk = max(1, _TRAPEZOID_BLOCK // n_nodes)
+    sums = []
+    for i in range(0, n_cells, chunk):
+        with np.errstate(over="ignore", under="ignore"):
+            integrand = np.exp(log_integrand(slice(i, i + chunk)))
+        sums.append(integrand.sum(axis=-1))
+    return np.log(du * np.concatenate(sums))
+
+
+def _log_rescaled_energy(b, g):
+    """ln int S_m^2 dw of the peak-rescaled Morse spectra (b, g), closed
+    form: 4 e^(2 beta/gamma) c**(2 beta + 1) int x**(2 beta) exp(-2 x**gamma)
+    dx with c = (gamma/beta)**(1/gamma)."""
+    r = (2.0 * b + 1.0) / g
+    return (
+        math.log(4.0)
+        + 2.0 * b / g
+        - r * (np.log(b) - np.log(g))
+        + _log_gengamma_integral(g, 2.0 * b)
+    )
+
+
+def _flat_pairs(betas, gammas):
+    """(beta, gamma) broadcast against each other and flattened, the
+    broadcast shape, and whether both inputs were scalars."""
+    scalar = np.ndim(betas) == 0 and np.ndim(gammas) == 0
+    b, g = np.broadcast_arrays(
+        *np.atleast_1d(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float))
+    )
+    return b.ravel(), g.ravel(), b.shape, scalar
+
+
+# The Bessel cross integral int S_m S_b dw runs over a fixed window in u:
+# outside [1e-3, 60] the Bessel factor e^(2 - w - 1/w) is below 1e-26 while
+# the peak-rescaled Morse factor never exceeds 2, whatever (beta, gamma).
+_BESSEL_LOG_LO, _BESSEL_LOG_HI = math.log(1e-3), math.log(60.0)
 # ln int S_b^2 dw = ln(4 e^4 int exp(-2(w + 1/w)) dw) = ln(8 e^4 K_1(4))
 _LOG_E_BESSEL = math.log(8.0 * k1(4.0)) + 4.0
-# integrand values held at once (2 MB): a box with narrow spectra needs
-# many nodes, and a long row times many nodes would otherwise take GBs
-_BESSEL_BLOCK = 1 << 18
 
 
 @functools.lru_cache(maxsize=8)
@@ -486,52 +588,78 @@ def _bessel_alpha_sq(betas, gammas, corner=None):
     """alpha^2 between the peak-rescaled Morse spectra (betas, gammas),
     broadcast against each other, and the Bessel spectrum.
 
-    The Morse self-energy is closed form, int S_m^2 dw =
-    4 e^(2 beta/gamma) c**(2 beta + 1) int x**(2 beta) exp(-2 x**gamma) dx
-    with c = (gamma/beta)**(1/gamma); the Bessel one is 8 e^4 K_1(4).  The
-    cross integral is a trapezoid in u = ln w on uniform nodes over
-    [1e-3, 60], with the integrand formed as exp(ln S_m + ln S_b + u); the
-    rule converges geometrically for this smooth, doubly decaying
-    integrand.  The node spacing resolves the narrowest spectrum up to
-    ``corner`` = (beta, gamma), by default the largest beta and gamma
-    among the inputs, with at least 2001 nodes; a fit passes its box's
-    corner so that all its points share one rule.  Agrees with the
-    adaptive-quadrature oracle `similarity_alpha_sq` to about 1e-12.
+    Both self-energies are closed form (`_log_rescaled_energy`, and
+    8 e^4 K_1(4) for the Bessel).  The cross integral is `_log_trapezoid`
+    on uniform nodes in u = ln w over [1e-3, 60].  The node spacing
+    resolves the narrowest spectrum up to ``corner`` = (beta, gamma), by
+    default the largest beta and gamma among the inputs, with at least
+    2001 nodes; a fit passes its box's corner so that all its points share
+    one rule.  Agrees with the adaptive-quadrature oracle
+    `similarity_alpha_sq` to about 1e-12.
     """
-    scalar = np.ndim(betas) == 0 and np.ndim(gammas) == 0
-    b, g = np.broadcast_arrays(
-        *np.atleast_1d(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float))
-    )
+    b, g, shape, scalar = _flat_pairs(betas, gammas)
     beta_max, gamma_max = corner if corner is not None else (b.max(), g.max())
     sharpness = max(math.sqrt(beta_max * gamma_max), gamma_max)
-    n_nodes = max(
-        _BESSEL_MIN_NODES,
-        math.ceil(_NODES_PER_WIDTH * sharpness * (_BESSEL_LOG_HI - _BESSEL_LOG_LO)) + 1,
-    )
+    n_nodes = _node_count(sharpness, _BESSEL_LOG_LO, _BESSEL_LOG_HI)
     u, du, log_kernel = _bessel_rule(n_nodes)
 
-    shape = b.shape
-    b, g = b.ravel(), g.ravel()
-    chunk = max(1, _BESSEL_BLOCK // n_nodes)
-    sums = []
-    for i in range(0, b.size, chunk):
-        with np.errstate(over="ignore", under="ignore"):
-            integrand = np.exp(
-                _rescaled_log_shape(b[i : i + chunk, None], g[i : i + chunk, None], u)
-                + log_kernel
-            )
-        # the integrand is below 2e-23 at both end nodes, so the plain sum
-        # times du is the trapezoid rule
-        sums.append(integrand.sum(axis=-1))
-    log_cross = np.log(du * np.concatenate(sums))
-    r = (2.0 * b + 1.0) / g
-    log_e_morse = (
-        math.log(4.0)
-        + 2.0 * b / g
-        - r * (np.log(b) - np.log(g))
-        + _log_gengamma_integral(g, 2.0 * b)
+    log_cross = _log_trapezoid(
+        lambda s: _rescaled_log_shape(b[s, None], g[s, None], u) + log_kernel,
+        b.size,
+        n_nodes,
+        du,
     )
+    log_e_morse = _log_rescaled_energy(b, g)
     out = np.exp(2.0 * log_cross - log_e_morse - _LOG_E_BESSEL).reshape(shape)
+    return float(out[0]) if scalar else out
+
+
+# the rho^2 window drops integrand values below this (the integrals are
+# of order 1/P, and P stays far below 1e20)
+_LOG_RHO_TAIL = math.log(1e-30)
+
+
+def _morse_rho_sq(betas, gammas):
+    """`gaussianity_rho_sq` of the Morse members (betas, gammas), broadcast
+    against each other, without quadrature; requires beta > 0.
+
+    The Gaussian bell is 2 exp(-P^2 (w - 1)^2 / 2) on the peak-rescaled axis
+    (P = sqrt(beta*gamma)).  Both self-energies are closed form: the Morse
+    one from `_log_rescaled_energy`, the bell's over (0, inf)
+    2 sqrt(pi) (1 + erf P) / P.  The cross integral is `_log_trapezoid` in
+    u = ln w on one rule for all the members.  Its integrand is at most
+    4 exp((1 + beta) u + beta/gamma) below the peak, since both factors
+    are at most 2 and S_m <= 2 w**beta e**(beta/gamma), so the window's
+    lower end is set by the smallest beta; above the peak it is at most
+    4 exp(u - P^2 (w - 1)^2 / 2), so the upper end is set by the smallest
+    P.  The nodes resolve the largest P and gamma, as in `_bessel_alpha_sq`.
+    On the default `curves` grid this agrees with mpmath to about 3e-15,
+    while the adaptive oracle is off by up to 4e-8 where beta < 1/2 and
+    gamma >= 4.
+    """
+    b, g, shape, scalar = _flat_pairs(betas, gammas)
+    p_dur = np.sqrt(b * g)
+    rate = 0.5 * p_dur * p_dur
+    u_lo = float(np.min((_LOG_RHO_TAIL - b / g) / (1.0 + b)))
+    # w - 1 = sqrt(L/rate) + 1/rate gives rate (w - 1)^2 - ln w >= L = -tail
+    u_hi = float(np.max(np.log1p(np.sqrt(-_LOG_RHO_TAIL / rate) + 1.0 / rate)))
+    n_nodes = _node_count(max(float(p_dur.max()), float(g.max())), u_lo, u_hi)
+    u, du = np.linspace(u_lo, u_hi, n_nodes, retstep=True)
+    w = np.exp(u)
+    bell_shape = -((w - 1.0) ** 2)
+    log_kernel = math.log(4.0) + u
+
+    log_cross = _log_trapezoid(
+        lambda s: _rescaled_log_shape(b[s, None], g[s, None], u)
+        + rate[s, None] * bell_shape
+        + log_kernel,
+        b.size,
+        n_nodes,
+        du,
+    )
+    log_e_bell = np.log(2.0 * math.sqrt(math.pi) * (1.0 + erf(p_dur)) / p_dur)
+    log_e_morse = _log_rescaled_energy(b, g)
+    out = np.exp(2.0 * log_cross - log_e_morse - log_e_bell).reshape(shape)
     return float(out[0]) if scalar else out
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from morsekit import props, superfamily
 from morsekit.cli import _fmt, main
 from morsekit.core import MorseParams, peak_frequency
 from morsekit.transform import SignalBuffer, scale_grid, transform
@@ -83,6 +84,14 @@ class TestProps:
 
 
 class TestMap:
+    def test_out_with_suffix_is_a_directory(self, tmp_path):
+        out = tmp_path / "out.v2"
+        assert run("map", "--beta", "1,2", "--gamma", "1,2", "--out", str(out)) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "constant_p_lines.csv", "heisenberg_map.csv",
+            "localization_border.csv", "skewness_zero.csv",
+        ]
+
     def test_small_map(self, tmp_path):
         out = tmp_path / "map"
         assert (
@@ -221,6 +230,20 @@ class TestGallery:
         assert np.max(np.abs(mod[n // 2 + 1 :] - mod[: n // 2][::-1])) < 1e-10
 
 
+    def test_bad_pair_rejected_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "gal"
+        assert run("gallery", "--beta", "3", "--gamma", "3,-1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: gamma must be finite and > 0 (got -1.0)\n"
+        assert not out.exists()
+
+    def test_out_with_suffix_is_a_directory(self, tmp_path):
+        out = tmp_path / "gal.v2"
+        assert run("gallery", "--beta", "3", "--gamma", "3", "--out", str(out)) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "index.csv", "pair_beta3p0_gamma3p0.csv"
+        ]
+
+
 class TestCurves:
     def test_structure_and_blanks(self, tmp_path):
         out = tmp_path / "curves.csv"
@@ -265,6 +288,28 @@ class TestCurves:
         cols, rows = _read_csv(out)
         blank = [float(r[0]) for r in rows if r[cols.index("rho2_morlet")] == ""]
         assert len(blank) == 10 and max(blank) < 1.432 < float(rows[-1][0])
+
+
+    def test_no_quadrature(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("curves called the quadrature oracle")
+
+        for mod, name in [(props, "quadrature_integral"), (props, "quad"),
+                          (superfamily, "quadrature_integral")]:
+            monkeypatch.setattr(mod, name, refuse)
+        out = tmp_path / "curves.csv"
+        assert run("curves", "--pgrid", "0.5:0.5:4", "--out", str(out)) == 0
+        _, rows = _read_csv(out)
+        assert len(rows) == 8 and all(rows[-1])
+
+    @pytest.mark.parametrize("pgrid", ["0.5:0.05:inf", "nan:0.05:1", "0.5:inf:8"])
+    def test_non_finite_pgrid_rejected(self, tmp_path, capsys, pgrid):
+        out = tmp_path / "curves.csv"
+        assert run("curves", f"--pgrid={pgrid}", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: pgrid values must be finite (got {pgrid!r})\n"
+        )
+        assert not out.exists()
 
 
 class TestGammaGuard:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,39 @@ class TestQuadratureOracle:
         )
         m0 = quadrature_moment(spec, 0, "energy", gamma_eff=g)
         assert math.sqrt(d / m0) == pytest.approx(sigma_t(p), rel=1e-8)
+
+
+class TestQuadpackFallback:
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        code = (
+            "import sys, morsekit, morsekit.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        # a fresh interpreter that imports the same morsekit as this one
+        env = dict(os.environ, PYTHONPATH=str(Path(props.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=env,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_forced_fallback_returns_the_oracle_value(self, monkeypatch):
+        # the subdivision loop reports a huge error, so quadrature_integral
+        # must go to QUADPACK, which it imports only then
+        real_gk, real_quad = props._adaptive_gk, props.quad
+        calls = []
+        monkeypatch.setattr(
+            props, "_adaptive_gk", lambda *a, **k: (real_gk(*a, **k)[0], 1e300)
+        )
+        monkeypatch.setattr(
+            props, "quad", lambda *a, **k: calls.append(1) or real_quad(*a, **k)
+        )
+        p = MorseParams(3, 2)
+        q = quadrature_moment(lambda w: eval_spectrum(p, w), 1, "energy", gamma_eff=2)
+        assert calls
+        assert "scipy.integrate" in sys.modules
+        assert q == pytest.approx(energy_moment(p, 1), rel=1e-10)
 
 
 class TestPropertySummary:

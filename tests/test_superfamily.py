@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,7 +32,31 @@ from morsekit.superfamily import (
     similarity_alpha_sq,
 )
 from morsekit import superfamily
-from morsekit.superfamily import _bessel_alpha_sq
+from morsekit.superfamily import _bessel_alpha_sq, _morlet_area_and_rho_sq, _morse_rho_sq
+
+
+def _mpmath_similarity(spec1, spec2, points):
+    """(int S1 S2)^2 / (int S1^2 * int S2^2) by mpmath's tanh-sinh
+    quadrature at 25 digits, split at ``points``."""
+    with mp.workdps(25):
+        integral = lambda f: mp.quad(f, points)
+        cross = integral(lambda w: spec1(w) * spec2(w))
+        e1 = integral(lambda w: spec1(w) ** 2)
+        e2 = integral(lambda w: spec2(w) ** 2)
+        return float(cross**2 / (e1 * e2))
+
+
+def _mp_morse(beta, gamma):
+    """The peak-rescaled Morse spectrum in mpmath, for w > 0."""
+    b, g = mp.mpf(beta), mp.mpf(gamma)
+    return lambda w: 2 * w**b * mp.exp((b / g) * (1 - w**g))
+
+
+def _mp_bell(p_sq, peak=1):
+    return lambda w: 2 * mp.exp(-mp.mpf(p_sq) / (2 * peak**2) * (w - peak) ** 2)
+
+
+_HALF_LINE = [0, 0.25, 0.5, 1, 2, 4, mp.inf]
 
 
 class TestMorlet:
@@ -360,6 +385,15 @@ class TestBesselAlphaSqRule:
         # 9e-6 and 2e-10 here, so the node count must grow with the box
         assert abs(_bessel_alpha_sq(beta, gamma) - self.oracle(beta, gamma)) <= 1e-10
 
+    # the ridge's best point and two corners of the default box; at
+    # (50, 0.02) the closed-form Morse energy sums log terms of size 4e4,
+    # which leaves about 1e-12 of rounding
+    @pytest.mark.parametrize("beta, gamma", [(22.0, 0.1), (1.0, 2.0), (50.0, 0.02)])
+    def test_matches_mpmath(self, beta, gamma):
+        bessel = lambda w: 2 * mp.exp(2 - w - 1 / w)
+        want = _mpmath_similarity(_mp_morse(beta, gamma), bessel, _HALF_LINE)
+        assert abs(_bessel_alpha_sq(beta, gamma) - want) <= 1e-11
+
     @pytest.mark.parametrize("corner", [None, (5000.0, 20.0)])
     def test_row_call_equals_scalar_calls(self, corner):
         # the (5000, 20) corner needs 13900 nodes, so the row of 40 is
@@ -369,6 +403,66 @@ class TestBesselAlphaSqRule:
         assert row.shape == gammas.shape
         for g, a2 in zip(gammas, row):
             assert abs(_bessel_alpha_sq(22.0, float(g), corner) - a2) <= 1e-15
+
+
+class TestMorseRhoSqRule:
+    """The quadrature-free rho^2 behind `curves` against the adaptive
+    oracle and against mpmath."""
+
+    def test_matches_oracle_on_a_grid(self):
+        betas = np.array([0.6, 2.0, 9.0, 27.0])[:, None]
+        gammas = np.array([1.0, 2.0, 3.0, 6.0])[None, :]
+        grid = _morse_rho_sq(betas, gammas)
+        assert grid.shape == (4, 4)
+        for (i, j), rho in np.ndenumerate(grid):
+            b, g = float(betas[i, 0]), float(gammas[0, j])
+            oracle = gaussianity_rho_sq(gmw_wavelet(MorseParams(b, g)))
+            assert abs(rho - oracle) <= 1e-10, (b, g)
+
+    # the Airy member, gamma = 1 at P = 8, and P = 0.5 at gamma = 6, where
+    # beta = 1/24 and the adaptive oracle is off by 3e-8
+    @pytest.mark.parametrize("beta, gamma", [(9.0, 3.0), (64.0, 1.0), (0.25 / 6, 6.0)])
+    def test_matches_mpmath(self, beta, gamma):
+        want = _mpmath_similarity(
+            _mp_morse(beta, gamma), _mp_bell(beta * gamma), _HALF_LINE
+        )
+        assert abs(_morse_rho_sq(beta, gamma) - want) <= 1e-13
+
+    def test_one_rule_for_a_grid_agrees_with_scalar_calls(self):
+        gammas = np.array([1.0, 3.0, 6.0])
+        row = _morse_rho_sq(0.5**2 / gammas, gammas)
+        for g, rho in zip(gammas, row):
+            assert _morse_rho_sq(0.25 / g, g) == pytest.approx(rho, abs=1e-14)
+
+
+class TestMorletClosedForms:
+    @pytest.mark.parametrize("nu", [0.1, 1.0, 3.0, 6.0])
+    def test_matches_oracle(self, nu):
+        wav = morlet_wavelet(nu)
+        m = [quadrature_moment(wav.spectrum, n, "energy", full_line=True) for n in (0, 1, 2)]
+        d = quadrature_moment(wav.spectrum, 0, "derivative_energy", full_line=True)
+        mu = m[1] / m[0]
+        area = math.sqrt(d / m[0]) * math.sqrt(m[2] / m[0] - mu * mu)
+        got_area, got_rho = _morlet_area_and_rho_sq(MorletParams(nu))
+        assert got_area == pytest.approx(area, rel=1e-9)
+        assert abs(got_rho - gaussianity_rho_sq(wav)) <= 1e-10
+
+    @pytest.mark.parametrize("nu", [0.1, 1.8414, 6.0])
+    def test_area_matches_plain_gaussian_forms(self, nu):
+        area, _ = _morlet_area_and_rho_sq(MorletParams(nu))
+        want = morlet_sigma_t_closed_form(nu) * morlet_sigma_omega_closed_form(nu)
+        assert area == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("nu", [0.1, 3.0])
+    def test_rho_sq_matches_mpmath(self, nu):
+        wp, p_dur = morlet_peak_and_duration(MorletParams(nu))
+        k = mp.exp(-mp.mpf(nu) ** 2 / 2)
+        morlet = lambda w: mp.exp(-((w - nu) ** 2) / 2) - k * mp.exp(-(w**2) / 2)
+        want = _mpmath_similarity(
+            morlet, _mp_bell(p_dur**2, mp.mpf(wp)), [-mp.inf, 0, nu, wp, mp.inf]
+        )
+        _, rho = _morlet_area_and_rho_sq(MorletParams(nu))
+        assert abs(rho - want) <= 1e-13
 
 
 class TestLimitDiagnostics:
