@@ -12,8 +12,8 @@ Runs the four CLI exports at their default resolutions:
   limits   lognormal- and band-pass-limit sup deviations
 
 Takes about 1.2 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17),
-half of it start-up and import; curves takes 0.3 s and map 0.2 s.
-Everything runs in one thread.
+most of it start-up and import; map and gallery take 0.2 s each and curves
+0.1 s.  Everything runs in one thread.
 """
 
 import sys

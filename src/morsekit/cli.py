@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .core import (
     MorseParams,
+    _bisect,
     approx_spectrum,
     duration,
     eval_spectrum,
@@ -41,7 +42,6 @@ from .props import (
 )
 from .superfamily import (
     BesselFitGrid,
-    MorletParams,
     _morlet_area_and_rho_sq,
     _morlet_min_duration,
     _morse_rho_sq,
@@ -197,21 +197,11 @@ def _parse_pgrid(text: str) -> list[float]:
 
 def _zero_skewness_rows(betas, g_lo: float, g_hi: float) -> list[tuple[float, float]]:
     """(beta, gamma*) for every beta > 0 whose frequency skewness changes
-    sign between g_lo and g_hi: bisection on all rows at once, halving each
-    bracket until it stops shrinking."""
+    sign between g_lo and g_hi, all rows bisected at once."""
     b = np.array([v for v in betas if v > 0], dtype=float)
+    b = b[_skewness(b, g_lo) * _skewness(b, g_hi) < 0]
     lo, hi = np.full_like(b, g_lo), np.full_like(b, g_hi)
-    f_lo = _skewness(b, lo)
-    crossing = f_lo * _skewness(b, hi) < 0
-    b, lo, hi, f_lo = b[crossing], lo[crossing], hi[crossing], f_lo[crossing]
-    mid = 0.5 * (lo + hi)
-    while np.any((lo < mid) & (mid < hi)):
-        f_mid = _skewness(b, mid)
-        above = np.signbit(f_mid) == np.signbit(f_lo)  # the root lies above mid
-        lo, f_lo = np.where(above, mid, lo), np.where(above, f_mid, f_lo)
-        hi = np.where(above, hi, mid)
-        mid = 0.5 * (lo + hi)
-    return list(zip(b.tolist(), mid.tolist()))
+    return list(zip(b.tolist(), _bisect(lambda g: _skewness(b, g), lo, hi).tolist()))
 
 
 def cmd_map(cfg: RunConfig) -> int:
@@ -288,12 +278,6 @@ def cmd_gallery(cfg: RunConfig) -> int:
     return 0
 
 
-def _morlet_curve_point(p_dur: float):
-    """(1/A, rho^2) of the Morlet wavelet at matched duration."""
-    area, rho_sq = _morlet_area_and_rho_sq(MorletParams(morlet_nu_for_duration(p_dur)))
-    return 1.0 / area, rho_sq
-
-
 def cmd_curves(cfg: RunConfig) -> int:
     p_grid = cfg.options["pgrid"]
     gammas = cfg.options["gamma"]
@@ -308,15 +292,22 @@ def cmd_curves(cfg: RunConfig) -> int:
     # beta = 0 (P = 0) has no rho^2: a placeholder beta, then a blank cell
     rho = _morse_rho_sq(np.where(b_grid > 0, b_grid, 1.0), g_row)
 
+    # the Morlet columns in one call at matched duration; a P the Morlet
+    # cannot reach gets a placeholder P, then blank cells
     p_min = _morlet_min_duration()
+    reach = np.asarray(p_grid) > p_min
+    m_area, m_rho = _morlet_area_and_rho_sq(
+        morlet_nu_for_duration(np.where(reach, p_grid, 3.0))
+    )
+    morlet = [(1.0 / a, r) if ok else (None, None)
+              for ok, a, r in zip(reach.tolist(), m_area.tolist(), m_rho.tolist())]
     rows = []
-    for p_dur, b_row, a_row, r_row in zip(
-        p_grid, b_grid.tolist(), inv_area.tolist(), rho.tolist()
+    for p_dur, b_row, a_row, r_row, (m_inv, m_r) in zip(
+        p_grid, b_grid.tolist(), inv_area.tolist(), rho.tolist(), morlet
     ):
         inv_a = [a if b > 0.5 else None for b, a in zip(b_row, a_row)]
         rho_sq = [r if b > 0 else None for b, r in zip(b_row, r_row)]
-        m_inv, m_rho = _morlet_curve_point(p_dur) if p_dur > p_min else (None, None)
-        rows.append([p_dur] + inv_a + [m_inv] + rho_sq + [m_rho])
+        rows.append([p_dur] + inv_a + [m_inv] + rho_sq + [m_r])
     short = [p_dur for p_dur in p_grid if p_dur <= p_min]
     if short:
         print(
@@ -577,6 +568,9 @@ def _config_from_args(args) -> RunConfig:
         cfg.options["beta"] = _parse_list_or_range(args.beta)
         cfg.options["gamma"] = _parse_list_or_range(args.gamma)
         cfg.options["p_lines"] = [float(v) for v in args.p_lines.split(",")]
+        for p_val in cfg.options["p_lines"]:
+            if not 0 <= p_val < math.inf:
+                raise ValueError(f"p-lines must be finite and >= 0 (got {p_val})")
         if cfg.out is None:
             raise ValueError("map writes several files: --out DIR is required")
     elif args.command == "gallery":
@@ -607,8 +601,11 @@ def _config_from_args(args) -> RunConfig:
             boundary=args.boundary,
         )
     elif args.command == "besselfit":
-        cfg.options["beta"] = _parse_list_or_range(args.beta)
-        cfg.options["gamma"] = _parse_list_or_range(args.gamma)
+        # the fit spans a log grid, so a list would silently lose its inner values
+        for name, text in (("beta", args.beta), ("gamma", args.gamma)):
+            if ":" not in text:
+                raise ValueError(f"--{name} must be a lo:hi:n range (got {text!r})")
+            cfg.options[name] = _parse_list_or_range(text)
     elif args.command == "limits":
         cfg.options["pvalue"] = args.pvalue
         cfg.options["gamma"] = [float(v) for v in args.gamma.split(",")]

@@ -221,6 +221,21 @@ def _rescaled_log_shape(beta, gamma, log_omega):
     return beta * log_omega + (beta / gamma) * (1.0 - np.exp(gamma * log_omega))
 
 
+def _bisect(f, lo, hi):
+    """The root of f in each bracket [lo, hi] (arrays of one shape): every
+    bracket is halved until it stops shrinking, and the final midpoints are
+    returned.  Requires f, taken elementwise, to change sign in each
+    bracket.  A bracket's lower end keeps the sign f has at the initial lo,
+    so f(lo) is evaluated once and each midpoint's sign compared with it."""
+    neg_lo = np.signbit(f(lo))
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        above = np.signbit(f(mid)) == neg_lo  # the root lies above mid
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def eval_rescaled_spectrum(p: MorseParams, omega):
     """Spectrum with the frequency axis rescaled by the peak frequency, so
     the maximum value 2 always sits at unit frequency.

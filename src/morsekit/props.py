@@ -73,19 +73,13 @@ class MomentTable:
 def _log_gengamma_integral(gamma, q):
     """ln of int_0^inf w**q exp(-2 w**gamma) dw; requires q > -1.
 
-    Takes floats, or arrays of gamma and q that broadcast (whole rows of
-    the parameter plane).  Floats keep the scalar path: it costs a tenth
-    of the array one per call, and math.log matches it bit for bit where
-    numpy's vectorized log can differ from libm's in the last place.
+    Takes numbers, or arrays of gamma and q that broadcast (whole rows of
+    the parameter plane).
     """
     r = (q + 1.0) / gamma
-    if isinstance(r, np.ndarray):
-        if np.any(r <= 0):
-            raise ValueError(f"divergent integral: needs exponent q > -1 (got q={q})")
-        return gammaln(r) - np.log(gamma) - r * math.log(2.0)
-    if r <= 0:
+    if np.any(r <= 0):
         raise ValueError(f"divergent integral: needs exponent q > -1 (got q={q})")
-    return gammaln(r) - math.log(gamma) - r * math.log(2.0)
+    return gammaln(r) - np.log(gamma) - r * math.log(2.0)
 
 
 def log_energy_moment(p: MorseParams, n: int) -> float:
@@ -414,8 +408,8 @@ def _adaptive_gk(g, a: float, b: float, epsabs: float, rtol: float, limit: int =
 
 def quad(*args, **kwargs):
     """`scipy.integrate.quad`, imported on the first call: it is only the
-    fallback of `quadrature_integral`, and the import pulls in
-    `scipy.optimize`, `scipy.sparse` and `scipy.linalg`."""
+    fallback of `quadrature_integral`, and the import pulls in the
+    optimize, sparse and linalg subpackages of scipy."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)

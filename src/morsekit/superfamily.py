@@ -12,7 +12,9 @@ and diagonal moves).  The fit scores whole rows of the grid at once with
 closed-form self-energies and a fixed-node trapezoid in ln(omega) for the
 cross integral; `_morse_rho_sq` scores Gaussian similarity the same way on
 a whole grid, and `_morlet_area_and_rho_sq` gives the Morlet's area and
-similarity from Gaussian integrals in closed form.  The adaptive
+similarity from Gaussian integrals in closed form.  The Morlet's peak
+frequency, and its nu at a given duration, are roots of monotone functions
+found by the array bisection `core._bisect`.  The adaptive
 quadrature behind `similarity_alpha_sq` and `gaussianity_rho_sq` stays the
 independent oracle.
 Growing beta at fixed gamma shrinks the relative bandwidth
@@ -34,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf, k1
 
-from .core import MorseParams, _rescaled_log_shape, duration, eval_rescaled_spectrum
+from .core import MorseParams, _bisect, _rescaled_log_shape, duration, eval_rescaled_spectrum
 from .props import _log_gengamma_integral, quadrature_integral
 
 __all__ = [
@@ -143,60 +145,32 @@ def _morlet_unnormalized(omega, nu: float):
     return np.exp(-0.5 * (w - nu) ** 2) - np.exp(-0.5 * (w * w + nu * nu))
 
 
-def morlet_peak_and_duration(m: MorletParams) -> tuple[float, float]:
-    """Peak frequency and duration of the Morlet wavelet.
+def _morlet_peak_and_duration(nu):
+    """Peak frequencies and durations of the Morlet wavelets ``nu`` (an
+    array, or a number; every nu >= 0.1).
 
-    The peak solves d/dw ln Psi = -(w - nu) + nu q/(1 - q) = 0 with
-    q = exp(-w nu), by safeguarded Newton from initial guess nu; the
-    derivative is strictly decreasing so the root is unique and always
-    exceeds nu.  The duration is the square root of minus the rescaled
-    second log-derivative at the peak, the analogue of sqrt(beta*gamma).
+    The peak solves d/dw ln Psi = nu - w + nu/expm1(w nu) = 0.  The
+    derivative is strictly decreasing, positive at w = nu and negative at
+    w = nu + 1, since there nu/expm1(nu (nu + 1)) < 1/(nu + 1); `_bisect`
+    finds the root in that bracket.  The duration is the square root of
+    minus the rescaled second log-derivative at the peak,
+    w_p sqrt(1 + nu^2 s (1 + s)) with s = 1/expm1(w_p nu), the analogue of
+    sqrt(beta*gamma).
     """
-    nu = m.nu
-    if nu < 0.1:
-        raise ValueError(f"peak solver requires nu >= 0.1 (got {nu})")
+    nu = np.asarray(nu, dtype=float)
+    if not np.all(nu >= 0.1):
+        raise ValueError(f"peak solver requires nu >= 0.1 (got {np.min(nu)})")
+    with np.errstate(over="ignore"):  # expm1 -> inf leaves nu/inf = 0
+        wp = _bisect(lambda w: nu - w + nu / np.expm1(w * nu), nu, nu + 1.0)
+        s = 1.0 / np.expm1(wp * nu)
+    return wp, wp * np.sqrt(1.0 + nu * nu * s * (1.0 + s))
 
-    def gfun(w):
-        q = math.exp(-w * nu)
-        return -(w - nu) + nu * q / (1.0 - q)
 
-    def gprime(w):
-        q = math.exp(-w * nu)
-        return -1.0 - nu * nu * q / (1.0 - q) ** 2
-
-    # bracket: g(nu) > 0 and g decreasing
-    lo, hi = nu, nu + 1.0
-    for _ in range(200):
-        if gfun(hi) < 0:
-            break
-        lo, hi = hi, hi * 2.0
-    else:
-        raise RuntimeError(f"could not bracket Morlet peak for nu={nu}")
-
-    w = nu
-    for _ in range(100):
-        gw = gfun(w)
-        if gw > 0:
-            lo = w
-        else:
-            hi = w
-        step = gw / gprime(w)
-        w_new = w - step
-        if not lo < w_new < hi:
-            w_new = 0.5 * (lo + hi)
-        if abs(w_new - w) <= 1e-12 * max(1.0, abs(w)):
-            w = w_new
-            break
-        w = w_new
-    else:
-        raise RuntimeError(
-            f"Morlet peak iteration did not converge for nu={nu} "
-            f"(bracket [{lo}, {hi}])"
-        )
-
-    q = math.exp(-w * nu)
-    p_sq = w * w * (1.0 + nu * nu * q / (1.0 - q) ** 2)
-    return w, math.sqrt(p_sq)
+def morlet_peak_and_duration(m: MorletParams) -> tuple[float, float]:
+    """Peak frequency and duration of the Morlet wavelet; see
+    `_morlet_peak_and_duration`, which requires nu >= 0.1."""
+    wp, p_dur = _morlet_peak_and_duration(m.nu)
+    return float(wp), float(p_dur)
 
 
 def morlet_amplitude(m: MorletParams) -> float:
@@ -221,31 +195,41 @@ def _morlet_min_duration() -> float:
     the duration at the peak solver's floor nu = 0.1.  The duration keeps
     falling towards its nu -> 0 limit sqrt(2) below that floor, but the
     solver does not go there."""
-    return morlet_peak_and_duration(MorletParams(0.1))[1]
+    return float(_morlet_peak_and_duration(0.1)[1])
 
 
-def morlet_nu_for_duration(p_target: float, nu_max: float = 200.0) -> float:
+def morlet_nu_for_duration(p_target, nu_max: float = 200.0):
     """Invert the duration map: the nu in [0.1, nu_max] whose Morlet
-    duration equals p_target.  Targets at or below `_morlet_min_duration`
-    (about 1.432, not the nu -> 0 limit sqrt(2)) are unreachable and
-    raise."""
-    from scipy.optimize import brentq
-
-    lo, hi = 0.1, nu_max
-    p_lo = _morlet_min_duration()
-    if p_target <= p_lo:
+    duration equals p_target (a number, or an array of them), by `_bisect`
+    on the duration, which increases with nu.  Targets at or below
+    `_morlet_min_duration` (about 1.432, not the nu -> 0 limit sqrt(2)),
+    and at or above the duration at nu_max, are unreachable and raise."""
+    p = np.asarray(p_target, dtype=float)
+    p_min = _morlet_min_duration()
+    p_max = float(_morlet_peak_and_duration(nu_max)[1])
+    if not np.all(p > p_min):
         raise ValueError(
-            f"no Morlet wavelet has duration {p_target:.4g} "
-            f"(minimum reachable is {p_lo:.4g})"
+            f"no Morlet wavelet has duration {np.min(p):.4g} "
+            f"(minimum reachable is {p_min:.4g})"
         )
-    f = lambda nu: morlet_peak_and_duration(MorletParams(nu))[1] - p_target
-    return float(brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    if not np.all(p < p_max):
+        raise ValueError(
+            f"no Morlet wavelet with nu <= {nu_max:g} has duration {np.max(p):.4g} "
+            f"(maximum reachable is {p_max:.4g})"
+        )
+    nu = _bisect(
+        lambda nu: _morlet_peak_and_duration(nu)[1] - p,
+        np.full_like(p, 0.1),
+        np.full_like(p, nu_max),
+    )
+    return float(nu) if p.ndim == 0 else nu
 
 
-def _morlet_area_and_rho_sq(m: MorletParams) -> tuple[float, float]:
-    """Heisenberg area and `gaussianity_rho_sq` of the Morlet wavelet from
-    closed-form Gaussian integrals over the full frequency line; only the
-    peak solve of `morlet_peak_and_duration` is iterative.
+def _morlet_area_and_rho_sq(nu):
+    """Heisenberg area and `gaussianity_rho_sq` of the Morlet wavelets
+    ``nu`` (an array, or a number; every nu >= 0.1) from closed-form
+    Gaussian integrals over the full frequency line, at the peak and
+    duration of `_morlet_peak_and_duration`.
 
     Up to the amplitude, which cancels in both, the spectrum is
     G1 - k G0 with G1 = exp(-(w - nu)^2/2), G0 = exp(-w^2/2) and
@@ -264,26 +248,26 @@ def _morlet_area_and_rho_sq(m: MorletParams) -> tuple[float, float]:
     difference of two Gaussian products, and the bell's energy is
     4 sqrt(pi/(2 q)).
     """
-    nu = m.nu
-    wp, p_dur = morlet_peak_and_duration(m)
+    nu = np.asarray(nu, dtype=float)
+    wp, p_dur = _morlet_peak_and_duration(nu)
     x = nu * nu
-    e1, e34 = math.expm1(-x), math.expm1(-0.75 * x)
+    e1, e34 = np.expm1(-x), np.expm1(-0.75 * x)
     m0 = e1 - 2.0 * e34
     m1 = -nu * e34
     m2 = 0.5 * x - (1.0 + 0.5 * x) * e34 + 0.5 * e1
     d = 0.5 * x - (1.0 - 0.5 * x) * e34 + 0.5 * e1
     mu = m1 / m0
-    area = math.sqrt(d / m0) * math.sqrt(m2 / m0 - mu * mu)
+    area = np.sqrt(d / m0) * np.sqrt(m2 / m0 - mu * mu)
 
     q = 0.5 * (p_dur / wp) ** 2
     c = q / (1.0 + 2.0 * q)
     # int (G1 - k G0) exp(-q (w - w_p)^2) dw / sqrt(pi/(1/2 + q))
     #   = exp(-c (w_p - nu)^2) - exp(-x/2 - c w_p^2)
-    cross = math.exp(-c * (wp - nu) ** 2) * -math.expm1(
+    cross = np.exp(-c * (wp - nu) ** 2) * -np.expm1(
         -0.5 * x - c * nu * (2.0 * wp - nu)
     )
     # (2 cross)^2 pi/(1/2 + q) over (sqrt(pi) m0 times 4 sqrt(pi/(2 q)))
-    rho_sq = cross * cross * math.sqrt(2.0 * q) / ((0.5 + q) * m0)
+    rho_sq = cross * cross * np.sqrt(2.0 * q) / ((0.5 + q) * m0)
     return area, rho_sq
 
 
@@ -295,8 +279,8 @@ def _morlet_area_and_rho_sq(m: MorletParams) -> tuple[float, float]:
 def lognormal_spectrum(p_duration: float, omega):
     """Lognormal (log Gabor) spectrum 2 exp(-P^2 ln^2(w) / 2), zero for
     w <= 0; symmetric in w <-> 1/w with peak value 2 at unit frequency."""
-    if p_duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < p_duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0 (got {p_duration})")
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
@@ -755,8 +739,8 @@ def limit_diagnostics(
     discontinuity at w = 1 where pointwise convergence fails.  The grid
     is fixed at w in [0.05, 4] with step 0.002.
     """
-    if p_duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < p_duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0 (got {p_duration})")
     if target not in ("lognormal", "shannon"):
         raise ValueError(f"unknown target {target!r}")
 

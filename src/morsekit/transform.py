@@ -169,8 +169,8 @@ def scale_grid(
         raise ValueError("density must be at least 1")
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
-    if p0 < 1:
-        raise ValueError("p0 must be at least 1")
+    if not p0 >= 1:  # nan included
+        raise ValueError(f"p0 must be at least 1 (got {p0})")
     if signal_len < 2:
         raise ValueError("signal too short")
 

@@ -145,6 +145,16 @@ class TestMap:
         assert capsys.readouterr().err == "error: list must hold at least one value (got ',')\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("p_lines, shown", [("-3", "-3.0"), ("1,nan", "nan"), ("inf", "inf")])
+    def test_bad_p_lines_rejected_before_writing(self, tmp_path, capsys, p_lines, shown):
+        out = tmp_path / "map"
+        argv = ["map", "--out", str(out), "--beta", "1,2", "--gamma", "1,2"]
+        assert run(*argv, f"--p-lines={p_lines}") == 2
+        assert capsys.readouterr().err == (
+            f"error: p-lines must be finite and >= 0 (got {shown})\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "beta, gamma, error",
         [
@@ -302,6 +312,15 @@ class TestCurves:
         _, rows = _read_csv(out)
         assert len(rows) == 8 and all(rows[-1])
 
+    def test_duration_beyond_morlet_reach_rejected(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        assert run("curves", "--pgrid", "190:20:250", "--gamma", "3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: no Morlet wavelet with nu <= 200 has duration 250 "
+            "(maximum reachable is 200)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("pgrid", ["0.5:0.05:inf", "nan:0.05:1", "0.5:inf:8"])
     def test_non_finite_pgrid_rejected(self, tmp_path, capsys, pgrid):
         out = tmp_path / "curves.csv"
@@ -417,6 +436,13 @@ class TestCwt:
         )
         assert not out.exists()
 
+    def test_nan_p0_rejected_before_writing(self, tmp_path, capsys, cosine_file):
+        path, _ = cosine_file
+        out = tmp_path / "cwt.csv"
+        assert run("cwt", "--signal", str(path), "--p0", "nan", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: p0 must be at least 1 (got nan)\n"
+        assert not out.exists()
+
     def test_complex_two_column_input(self, tmp_path):
         n = 256
         w0 = 2.0 * np.pi * 32 / n
@@ -447,6 +473,28 @@ class TestBesselfitAndLimits:
         )
         out = capsys.readouterr().out
         assert "alpha_sq=0.999" in out
+
+    @pytest.mark.parametrize("flag, text", [("--beta", "1,30,50"), ("--gamma", "0.1")])
+    def test_besselfit_list_rejected_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                                     flag, text):
+        monkeypatch.setattr(
+            "morsekit.cli.bessel_fit", lambda grid: pytest.fail("the fit started")
+        )
+        out = tmp_path / "fit.csv"
+        assert run("besselfit", flag, text, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be a lo:hi:n range (got {text!r})\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pvalue", ["nan", "inf", "0"])
+    def test_limits_bad_pvalue_rejected_before_writing(self, tmp_path, capsys, pvalue):
+        out = tmp_path / "lim.csv"
+        assert run("limits", "--pvalue", pvalue, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: duration must be finite and > 0 (got {float(pvalue)})\n"
+        )
+        assert not out.exists()
 
     def test_limits_table(self, tmp_path):
         out = tmp_path / "lim.csv"

@@ -268,20 +268,30 @@ class TestQuadratureOracle:
         assert math.sqrt(d / m0) == pytest.approx(sigma_t(p), rel=1e-8)
 
 
+def _scipy_solvers_loaded_after(statement: str) -> str:
+    """Which of scipy.integrate and scipy.optimize a fresh interpreter that
+    imports the same morsekit as this one has loaded after ``statement``."""
+    code = (
+        f"import sys, morsekit, morsekit.cli; {statement}; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(props.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    return out.stdout.strip().splitlines()[-1]  # after any table on stdout
+
+
 class TestQuadpackFallback:
     def test_import_leaves_scipy_integrate_unloaded(self):
-        code = (
-            "import sys, morsekit, morsekit.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))"
-        )
-        # a fresh interpreter that imports the same morsekit as this one
-        env = dict(os.environ, PYTHONPATH=str(Path(props.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env=env,
-        )
-        assert out.stdout.strip() == "[]"
+        assert _scipy_solvers_loaded_after("pass") == "[]"
+
+    def test_curves_run_leaves_scipy_optimize_unloaded(self):
+        # the Morlet columns need a peak solve and a duration inversion
+        statement = "morsekit.cli.main(['curves', '--pgrid', '1:0.5:4', '--gamma', '3'])"
+        assert _scipy_solvers_loaded_after(statement) == "[]"
 
     def test_forced_fallback_returns_the_oracle_value(self, monkeypatch):
         # the subdivision loop reports a huge error, so quadrature_integral

@@ -52,6 +52,19 @@ def _mp_morse(beta, gamma):
     return lambda w: 2 * w**b * mp.exp((b / g) * (1 - w**g))
 
 
+def _mp_morlet_peak_and_duration(nu):
+    """Peak and duration of the Morlet wavelet in mpmath at 40 digits: the
+    root of d/dw ln Psi, and w_p sqrt(-d^2/dw^2 ln Psi) there, both by
+    numerical differentiation of ln Psi itself."""
+    with mp.workdps(40):
+        nu = mp.mpf(nu)
+        log_psi = lambda w: mp.log(
+            mp.exp(-((w - nu) ** 2) / 2) - mp.exp(-(w * w + nu * nu) / 2)
+        )
+        wp = mp.findroot(lambda w: mp.diff(log_psi, w), (nu, nu + 1), solver="anderson")
+        return wp, wp * mp.sqrt(-mp.diff(log_psi, wp, 2))
+
+
 def _mp_bell(p_sq, peak=1):
     return lambda w: 2 * mp.exp(-mp.mpf(p_sq) / (2 * peak**2) * (w - peak) ** 2)
 
@@ -95,6 +108,36 @@ class TestMorlet:
     def test_nu_inversion_unreachable(self):
         with pytest.raises(ValueError, match="duration"):
             morlet_nu_for_duration(1.2)
+
+    def test_nu_inversion_unreachable_above_nu_max(self):
+        # for nu >= 28 the duration is nu itself to double precision
+        with pytest.raises(ValueError, match="maximum reachable is 200"):
+            morlet_nu_for_duration(200.0)
+        with pytest.raises(ValueError, match="nu <= 50 has duration 60 .maximum reachable is 50"):
+            morlet_nu_for_duration(np.array([3.0, 60.0]), nu_max=50.0)
+        assert morlet_nu_for_duration(199.0) == pytest.approx(199.0, rel=1e-15)
+
+    def test_nu_inversion_takes_arrays(self):
+        p_durs = np.array([1.5, 3.0, 6.0, 40.0])
+        want = [morlet_nu_for_duration(p) for p in p_durs]
+        assert morlet_nu_for_duration(p_durs).tolist() == want
+
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 1.8414, 3.0, 8.0, 30.0])
+    def test_peak_and_duration_match_mpmath(self, nu):
+        wp, p_dur = morlet_peak_and_duration(MorletParams(nu))
+        want_wp, want_dur = _mp_morlet_peak_and_duration(nu)
+        assert abs(wp / want_wp - 1) <= 1e-14
+        assert abs(p_dur / want_dur - 1) <= 1e-14
+
+    @pytest.mark.parametrize("p_dur", [1.5, 2.0, 3.0, 6.0])
+    def test_nu_inversion_matches_mpmath(self, p_dur):
+        with mp.workdps(40):
+            want = mp.findroot(
+                lambda nu: _mp_morlet_peak_and_duration(nu)[1] - p_dur,
+                (mp.mpf("0.1"), mp.mpf(p_dur)),
+                solver="anderson",
+            )
+        assert abs(morlet_nu_for_duration(p_dur) / want - 1) <= 1e-14
 
     def test_min_duration_is_the_solver_floor_not_the_limit(self):
         # the duration keeps falling below nu = 0.1 towards sqrt(2), but
@@ -443,13 +486,13 @@ class TestMorletClosedForms:
         d = quadrature_moment(wav.spectrum, 0, "derivative_energy", full_line=True)
         mu = m[1] / m[0]
         area = math.sqrt(d / m[0]) * math.sqrt(m[2] / m[0] - mu * mu)
-        got_area, got_rho = _morlet_area_and_rho_sq(MorletParams(nu))
+        got_area, got_rho = _morlet_area_and_rho_sq(nu)
         assert got_area == pytest.approx(area, rel=1e-9)
         assert abs(got_rho - gaussianity_rho_sq(wav)) <= 1e-10
 
     @pytest.mark.parametrize("nu", [0.1, 1.8414, 6.0])
     def test_area_matches_plain_gaussian_forms(self, nu):
-        area, _ = _morlet_area_and_rho_sq(MorletParams(nu))
+        area, _ = _morlet_area_and_rho_sq(nu)
         want = morlet_sigma_t_closed_form(nu) * morlet_sigma_omega_closed_form(nu)
         assert area == pytest.approx(want, rel=1e-11)
 
@@ -461,7 +504,7 @@ class TestMorletClosedForms:
         want = _mpmath_similarity(
             morlet, _mp_bell(p_dur**2, mp.mpf(wp)), [-mp.inf, 0, nu, wp, mp.inf]
         )
-        _, rho = _morlet_area_and_rho_sq(MorletParams(nu))
+        _, rho = _morlet_area_and_rho_sq(nu)
         assert abs(rho - want) <= 1e-13
 
 
@@ -484,5 +527,10 @@ class TestLimitDiagnostics:
     def test_validation(self):
         with pytest.raises(ValueError):
             limit_diagnostics(-1.0, [1.0])
+        for p_dur in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="duration must be finite"):
+                limit_diagnostics(p_dur, [1.0])
+            with pytest.raises(ValueError, match="duration must be finite"):
+                lognormal_spectrum(p_dur, 1.0)
         with pytest.raises(ValueError):
             limit_diagnostics(1.0, [1.0], target="sinc")

@@ -73,6 +73,8 @@ class TestScaleGrid:
             scale_grid(1024, P93, density=0)
         with pytest.raises(ValueError):
             scale_grid(1024, P93, p0=0.5)
+        with pytest.raises(ValueError, match="p0 must be at least 1"):
+            scale_grid(1024, P93, p0=float("nan"))
 
     def test_physical_frequencies(self):
         grid = scale_grid(1024, P93)
