@@ -608,7 +608,7 @@ def _config_from_args(args) -> RunConfig:
             cfg.options[name] = _parse_list_or_range(text)
     elif args.command == "limits":
         cfg.options["pvalue"] = args.pvalue
-        cfg.options["gamma"] = [float(v) for v in args.gamma.split(",")]
+        cfg.options["gamma"] = _parse_list_or_range(args.gamma)
         cfg.options["target"] = args.target
     if args.command in ("curves", "limits"):
         for g in cfg.options["gamma"]:

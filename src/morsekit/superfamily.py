@@ -76,6 +76,8 @@ class MorletParams:
     def __post_init__(self):
         if not np.isfinite(self.nu) or self.nu <= 0:
             raise ValueError(f"nu must be finite and > 0 (got {self.nu})")
+        # a plain float keeps the params hashable, the key of morlet_amplitude
+        object.__setattr__(self, "nu", float(self.nu))
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,10 @@ def morlet_peak_and_duration(m: MorletParams) -> tuple[float, float]:
     return float(wp), float(p_dur)
 
 
+@functools.lru_cache(maxsize=64)
 def morlet_amplitude(m: MorletParams) -> float:
-    """Normalizing constant putting the spectral maximum at 2."""
+    """Normalizing constant putting the spectral maximum at 2, solved once
+    per ``MorletParams``."""
     wp, _ = morlet_peak_and_duration(m)
     return 2.0 / float(_morlet_unnormalized(wp, m.nu))
 

@@ -10,7 +10,9 @@ The filter bank runs in blocks of scales.  A row's filter is evaluated
 only on the bins below the frequency where the Morse spectrum underflows
 to exactly 0 (found once per transform), and one multi-threaded inverse
 FFT, using every CPU the process may run on, turns a whole block into
-coefficient rows.  The rows are stored scale-major, so the time x scale
+coefficient rows.  pocketfft splits a call across rows only, so a block
+holds at least one row per worker, and otherwise as many rows as fit in
+8 MB.  The rows are stored scale-major, so the time x scale
 ``CwtResult.coefficients`` is a Fortran-ordered view, and the transform
 needs the output plus one block of memory.  The coefficients are bitwise
 those of one full-length filter and one inverse FFT per scale, whatever
@@ -40,8 +42,8 @@ __all__ = [
 NORMALIZATIONS = ("bandpass_n1", "unitary_n_half")
 BOUNDARIES = ("periodic", "zero", "mirror")
 
-# cap on one block of padded filter rows; pocketfft adds about one row of
-# scratch per thread on top
+# cap on one block of padded filter rows, unless one row per FFT worker
+# is more; pocketfft adds about one row of scratch per thread on top
 _BLOCK_BYTES = 8 << 20
 # the inverse FFTs use every CPU this process may run on; the results do
 # not depend on the count
@@ -215,14 +217,16 @@ def transform(
     at or above twice the length, zero in 'zero' mode and even reflection
     in 'mirror' mode, and crop after inversion.
 
-    Scales run in blocks of at most _BLOCK_BYTES (8 MB) of padded rows.
     Each row's filter is evaluated only below the frequency where the
-    spectrum underflows to exactly 0, and each block is inverted by one
-    FFT over its rows on every CPU the process may use.  Rows are written
-    scale-major, so ``coefficients`` is a Fortran-ordered time x scale
-    view.  Beyond the output the transform holds one block (periodic rows
-    are inverted in place in the output) and O(m) for the spectrum.  The
-    coefficients do not depend on the block size or the thread count.
+    spectrum underflows to exactly 0, and each block of scales is inverted
+    by one FFT over its rows on every CPU the process may use.  The FFT
+    threads split a call by rows, so a block holds one padded row per
+    worker, or more if they fit in _BLOCK_BYTES (8 MB): at most
+    max(8 MB, workers padded rows).  Rows are written scale-major, so
+    ``coefficients`` is a Fortran-ordered time x scale view.  Beyond the
+    output the transform holds one block (periodic rows are inverted in
+    place in the output) and O(m) for the spectrum.  The coefficients do
+    not depend on the block size or the thread count.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -254,7 +258,8 @@ def transform(
     omega_pos = 2.0 * np.pi * np.arange(len(spectrum)) / m
 
     out = np.empty((len(scales), n), dtype=complex)
-    rows = max(1, _BLOCK_BYTES // (16 * m))  # complex rows of m bins
+    # complex rows of m bins, at least one per FFT worker
+    rows = max(_FFT_WORKERS, _BLOCK_BYTES // (16 * m))
     # periodic rows are inverted in place in the output
     if boundary == "periodic":
         work = None

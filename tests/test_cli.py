@@ -409,6 +409,8 @@ class TestCwt:
         path = tmp_path / "noise.txt"
         noise = np.random.default_rng(0).standard_normal(n).tolist()
         path.write_text("\n".join(map(repr, noise)) + "\n")
+        # four rows fit in the byte cap, more than one per worker
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
         monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 4 * 16 * n)
         n_scales = len(scale_grid(n, MorseParams(9, 3), density=8))
         out = tmp_path / f"cwt.{fmt}"
@@ -510,6 +512,14 @@ class TestBesselfitAndLimits:
         )
         _, rows = _read_csv(out)
         assert float(rows[0][2]) > float(rows[1][2])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_limits_gamma_range_is_its_list(self, tmp_path, fmt):
+        listed = ",".join(repr(float(g)) for g in np.geomspace(0.1, 1.0, 3))
+        for name, gamma in (("range", "0.1:1:3"), ("list", listed)):
+            out = tmp_path / f"{name}.{fmt}"
+            assert run("limits", "--gamma", gamma, "--format", fmt, "--out", str(out)) == 0
+        assert (tmp_path / f"range.{fmt}").read_bytes() == (tmp_path / f"list.{fmt}").read_bytes()
 
     def test_limits_shannon(self, capsys):
         assert (

@@ -83,6 +83,22 @@ class TestMorlet:
         val = morlet_spectrum(MorletParams(1.0), -1.0)
         assert val != 0.0 and val < 0.0
 
+    def test_amplitude_solved_once_and_values_unchanged(self, monkeypatch):
+        nu, w = 4.25, np.linspace(-2.0, 10.0, 7)
+        solve, shape = superfamily._morlet_peak_and_duration, superfamily._morlet_unnormalized
+        # the amplitude as it was solved on every call
+        a = 2.0 / float(shape(float(solve(nu)[0]), nu))
+        calls = []
+        monkeypatch.setattr(superfamily, "_morlet_peak_and_duration",
+                            lambda v: calls.append(v) or solve(v))
+        superfamily.morlet_amplitude.cache_clear()
+        m = MorletParams(nu)
+        for v in w:
+            assert morlet_spectrum(m, v) == float(a * shape(v, nu))
+        assert np.array_equal(morlet_spectrum(MorletParams(nu), w), a * shape(w, nu))
+        assert morlet_spectrum(MorletParams(np.array(nu)), w[3]) == float(a * shape(w[3], nu))
+        assert calls == [nu]
+
     def test_peak_solver_large_nu(self):
         wp, _ = morlet_peak_and_duration(MorletParams(8.0))
         assert 7.999 < wp < 8.0 + 1e-9

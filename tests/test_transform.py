@@ -259,6 +259,8 @@ class TestBlockedTransform:
         grid = scale_grid(n, P93, density=4)
         m = n if boundary == "periodic" else 4096
         assert len(grid) % 5 != 0
+        # five rows fit in the byte cap, more than one per worker
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
         monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 5 * 16 * m + 1)
         calls = []
         ifft = TRANSFORM.scipy.fft.ifft
@@ -268,6 +270,25 @@ class TestBlockedTransform:
             got = transform(SignalBuffer(x), grid, normalization, boundary).coefficients
             assert np.array_equal(got, reference_transform(x, grid, normalization, boundary))
         assert calls == 2 * ([5] * (len(grid) // 5) + [len(grid) % 5])
+
+    def test_one_row_per_worker_when_a_row_exceeds_the_cap(self, monkeypatch):
+        n = 1237
+        x = _noise(n, seed=4)
+        grid = scale_grid(n, P93, density=4)
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
+        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 16 * n - 1)  # below any row
+        calls = []
+        ifft = TRANSFORM.scipy.fft.ifft
+        monkeypatch.setattr(TRANSFORM.scipy.fft, "ifft",
+                            lambda a, **kw: calls.append(len(a)) or ifft(a, **kw))
+        for boundary in ("periodic", "zero", "mirror"):
+            for normalization in ("bandpass_n1", "unitary_n_half"):
+                calls.clear()
+                got = transform(SignalBuffer(x), grid, normalization, boundary).coefficients
+                assert np.array_equal(
+                    got, reference_transform(x, grid, normalization, boundary)
+                )
+                assert calls == [2] * (len(grid) // 2) + [1] * (len(grid) % 2)
 
     def test_worker_count_independence(self, monkeypatch):
         n = 4096
@@ -307,6 +328,8 @@ class TestBlockedTransform:
     def test_memory_is_output_plus_one_block(self, monkeypatch, boundary):
         n = 4096
         m = n if boundary == "periodic" else 2 * n
+        # four rows fit in the byte cap, more than one per worker
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
         monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 4 * 16 * m)
         x = _noise(n, seed=3)
         grid = scale_grid(n, P93, density=8)
@@ -319,6 +342,22 @@ class TestBlockedTransform:
         # spectrum, padded signal, bin frequencies and one row's filter
         # temporaries are a few dozen bytes per padded sample
         assert peak <= res.coefficients.nbytes + TRANSFORM._BLOCK_BYTES + 96 * m
+
+    @pytest.mark.parametrize("boundary", ["periodic", "mirror"])
+    def test_memory_is_output_plus_one_row_per_worker(self, monkeypatch, boundary):
+        n = 4096
+        m = n if boundary == "periodic" else 2 * n
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 3)
+        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 16 * m - 1)  # below one row
+        x = _noise(n, seed=3)
+        grid = scale_grid(n, P93, density=8)
+        tracemalloc.start()
+        try:
+            res = transform(SignalBuffer(x), grid, boundary=boundary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= res.coefficients.nbytes + 3 * 16 * m + 96 * m
 
 
 class TestRidgeCheck:
