@@ -7,6 +7,14 @@ formatting (so infinities as "inf"), complex CSV cells as re+imj,
 undefined cells blank.  One writer serves every command: CSV tables and
 the `cwt` JSON coefficients are written one row at a time, so a run holds
 its results plus one formatted row, never the whole text.
+
+A `cwt` table of more than one block of rows (``_FORMAT_CELLS`` cells) is
+formatted by forked worker processes, one per CPU the transform's FFT
+uses: worker k of W formats blocks k, k + W, k + 2W, ... with the same
+``_fmt`` and sends them through its own pipe, and the parent copies the
+blocks to the output in row order, at most 64 KB at a time.  The parent then holds one such
+piece and each worker one block of text; the bytes are those of the
+serial writer.  One block, one CPU, or no ``os.fork`` writes in-process.
 """
 
 from __future__ import annotations
@@ -15,7 +23,11 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import pickle
+import struct
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,6 +62,15 @@ from .superfamily import (
     morlet_nu_for_duration,
 )
 from .transform import SignalBuffer, scale_grid, transform
+
+# the module, not the function of the same name: its FFT worker count is
+# read at call time, so one setting serves the transform and the formatter
+_TRANSFORM = sys.modules[SignalBuffer.__module__]
+
+# cells in one block of `cwt` rows formatted by a worker (about 0.7 MB of
+# text), and the most the parent reads from a worker's pipe at once
+_FORMAT_CELLS = 1 << 14
+_PIECE_BYTES = 1 << 16
 
 DEFAULT_P_LINES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
 GALLERY_VALUES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
@@ -120,6 +141,100 @@ def _write_csv(f, comments, columns, rows):
     f.write(",".join(columns) + "\n")
     for row in rows:
         f.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _write_lines(f, n_rows: int, row_cells: int, lines):
+    """Write ``lines(i0, i1)``, the text lines of rows i0..i1-1, for every
+    row in order: in-process when the rows fit in one block of
+    ``_FORMAT_CELLS`` cells, when the transform uses one CPU, or without
+    ``os.fork``; else formatted by forked workers, block b by worker
+    b mod W, and copied from their pipes in row order."""
+    per_block = max(1, _FORMAT_CELLS // row_cells)
+    blocks = [(i, min(i + per_block, n_rows)) for i in range(0, n_rows, per_block)]
+    workers = min(_TRANSFORM._FFT_WORKERS, len(blocks))
+    if workers < 2 or not hasattr(os, "fork"):
+        f.writelines(lines(0, n_rows))
+        return
+    pids, reads = [], []
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = _fork()
+                if pid == 0:
+                    _format_blocks(w, reads, blocks[k::workers], lines)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        for b in range(len(blocks)):
+            r = reads[b % workers]
+            (size,) = struct.unpack("<q", _read_exact(r, 8))
+            if size < 0:  # the block's own error, pickled by its worker
+                raise pickle.loads(_read_exact(r, -size))
+            while size:
+                piece = _read_exact(r, min(size, _PIECE_BYTES))
+                f.write(piece.decode("ascii"))
+                size -= len(piece)
+    finally:
+        # closed pipes end any worker still writing (BrokenPipeError)
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _fork() -> int:
+    # The parent has threads (numpy's BLAS pool, pocketfft's workers), so
+    # Python 3.12+ warns that fork may deadlock the child.  The child only
+    # formats Python floats, writes to its pipe and leaves through
+    # os._exit; it takes no lock those threads may hold, and the pocketfft
+    # and BLAS pools re-arm through their own pthread_atfork handlers.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+        )
+        return os.fork()
+
+
+def _format_blocks(w: int, reads, blocks, lines):
+    """A worker's whole life: each block's text, or the first error, as a
+    length-prefixed record on pipe ``w`` (an error's length negative).  It
+    leaves only through os._exit, so it never runs the parent's atexit
+    handlers or flushes the parent's buffered output."""
+    code = 1
+    try:
+        for r in reads:
+            os.close(r)
+        try:
+            for i0, i1 in blocks:
+                _write_record(w, "".join(lines(i0, i1)).encode("ascii"), 1)
+            code = 0
+        except Exception as exc:
+            payload = pickle.dumps(exc)
+            # an exception the parent could not rebuild ends the worker
+            # without a record, which the parent reports as an early exit
+            pickle.loads(payload)
+            _write_record(w, payload, -1)
+    finally:
+        os._exit(code)
+
+
+def _write_record(w: int, data: bytes, sign: int):
+    """``data`` after its length times ``sign``, as 8 little-endian bytes."""
+    view = memoryview(struct.pack("<q", sign * len(data)) + data)
+    while view:
+        view = view[os.write(w, view):]
+
+
+def _read_exact(r: int, size: int) -> bytes:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(r, size - len(data))
+        if not chunk:
+            raise RuntimeError("a formatting worker exited before its block")
+        data += chunk
+    return data
 
 
 def _write_table(cfg: RunConfig, stem: str, columns, rows, meta: dict | None = None):
@@ -426,8 +541,10 @@ def cmd_cwt(cfg: RunConfig) -> int:
             f.write(head[:-1])
             for key, part in (("real", coef.real), ("imag", coef.imag)):
                 f.write(f', "{key}": [')
-                for i, row in enumerate(part):
-                    f.write((", " if i else "") + json.dumps(row.tolist()))
+                _write_lines(f, len(part), part.shape[1], lambda i0, i1: (
+                    (", " if i else "") + json.dumps(row.tolist())
+                    for i, row in enumerate(part[i0:i1], i0)
+                ))
                 f.write("]")
             f.write("}\n")
         return 0
@@ -439,7 +556,12 @@ def cmd_cwt(cfg: RunConfig) -> int:
     columns = ["t"] + [f"scale={_fmt(s)}" for s in grid.scales.tolist()]
     times = (np.arange(coef.shape[0]) * sig.dt).tolist()
     with _open_output(_out_file(cfg, "cwt")) as f:
-        _write_csv(f, comments, columns, ([t] + row.tolist() for t, row in zip(times, coef)))
+        _write_csv(f, comments, columns, ())
+        # the lines _write_csv would write for these rows
+        _write_lines(f, len(coef), len(columns), lambda i0, i1: (
+            ",".join(map(_fmt, [t] + row.tolist())) + "\n"
+            for t, row in zip(times[i0:i1], coef[i0:i1])
+        ))
     return 0
 
 

@@ -68,8 +68,8 @@ class SignalBuffer:
             np.iscomplexobj(x) and not np.all(np.isfinite(x.imag))
         ):
             raise ValueError("signal contains non-finite values")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive (got {self.dt})")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite (got {self.dt})")
         object.__setattr__(self, "samples", x)
 
 

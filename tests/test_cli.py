@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from morsekit.transform import SignalBuffer, scale_grid, transform
 
 # the module, not the function of the same name the package exports
 TRANSFORM = sys.modules["morsekit.transform"]
+CLI = sys.modules["morsekit.cli"]
 
 
 def run(*argv):
@@ -445,6 +447,15 @@ class TestCwt:
         assert capsys.readouterr().err == "error: p0 must be at least 1 (got nan)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_infinite_dt_rejected_before_writing(self, tmp_path, capsys, fmt):
+        path = tmp_path / "sig.txt"
+        path.write_text("# dt=inf\n" + "1.0\n-1.0\n" * 32)
+        out = tmp_path / f"cwt.{fmt}"
+        assert run("cwt", "--signal", str(path), "--format", fmt, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: dt must be positive and finite (got inf)\n"
+        assert not out.exists()
+
     def test_complex_two_column_input(self, tmp_path):
         n = 256
         w0 = 2.0 * np.pi * 32 / n
@@ -466,6 +477,70 @@ class TestCwt:
     def test_missing_file(self, capsys):
         assert run("cwt", "--signal", "/does/not/exist") == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCwtWorkers:
+    """`cwt` tables of several blocks are formatted by forked workers."""
+
+    @staticmethod
+    def _cwt(capsys, path, fmt, out=None):
+        argv = ["cwt", "--signal", str(path), "--format", fmt, "--boundary", "mirror"]
+        assert main(argv + (["--out", str(out)] if out else [])) == 0
+        return out.read_text() if out else capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_equal_the_serial_writer(self, tmp_path, capsys, monkeypatch, cosine_file,
+                                           fmt, workers):
+        path, _ = cosine_file
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+        serial = self._cwt(capsys, path, fmt, tmp_path / f"serial.{fmt}")
+        # seven rows a block (CSV and JSON alike): 1024 rows end in a block of 2
+        n_scales = len(scale_grid(1024, MorseParams(9, 3)))
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 7 * (n_scales + 1))
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert self._cwt(capsys, path, fmt, tmp_path / f"cwt.{fmt}") == serial
+        assert self._cwt(capsys, path, fmt) == serial
+        # once per table for CSV, once per part (real, imag) for JSON
+        per_run = 0 if workers == 1 else workers * (1 if fmt == "csv" else 2)
+        assert len(forks) == 2 * per_run
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_block_never_forks(self, tmp_path, capsys, monkeypatch, cosine_file, fmt):
+        path, _ = cosine_file
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+        serial = self._cwt(capsys, path, fmt, tmp_path / f"serial.{fmt}")
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 1 << 30)
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 3)
+
+        def no_fork():
+            raise AssertionError("a table of one block forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self._cwt(capsys, path, fmt, tmp_path / f"cwt.{fmt}") == serial
+
+    def test_worker_error_fails_the_run_and_leaves_no_child(self, tmp_path, capsys,
+                                                            monkeypatch, cosine_file):
+        path, _ = cosine_file
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 1000)
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
+
+        def fmt(v):
+            if v == 500.0:  # the t cell of row 500, in a middle block
+                raise ValueError(f"cannot format t=500.0 in process {os.getpid()}")
+            return _fmt(v)
+
+        monkeypatch.setattr(CLI, "_fmt", fmt)
+        out = tmp_path / "cwt.csv"
+        assert run("cwt", "--signal", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot format t=500.0 in process ")
+        assert int(err.split()[-1]) != os.getpid()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestBesselfitAndLimits:

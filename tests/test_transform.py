@@ -35,6 +35,11 @@ class TestSignalBuffer:
         with pytest.raises(ValueError):
             SignalBuffer(np.array([1.0, 2.0]), dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match=r"^dt must be positive and finite \(got "):
+            SignalBuffer(np.array([1.0, 2.0]), dt=dt)
+
     def test_complex_ok(self):
         SignalBuffer(np.array([1 + 1j, 2 - 1j, 0j]))
 
