@@ -9,12 +9,13 @@ the `cwt` JSON coefficients are written one row at a time, so a run holds
 its results plus one formatted row, never the whole text.
 
 A `cwt` table of more than one block of rows (``_FORMAT_CELLS`` cells) is
-formatted by forked worker processes, one per CPU the transform's FFT
-uses: worker k of W formats blocks k, k + W, k + 2W, ... with the same
+formatted by forked worker processes, one per CPU the transform's threads
+use: worker k of W formats blocks k, k + W, k + 2W, ... with the same
 ``_fmt`` and sends them through its own pipe, and the parent copies the
-blocks to the output in row order, at most 64 KB at a time.  The parent then holds one such
-piece and each worker one block of text; the bytes are those of the
-serial writer.  One block, one CPU, or no ``os.fork`` writes in-process.
+blocks to the output in row order, at most 64 KB at a time.  The parent
+then holds one such piece and each worker one block of text; the bytes
+are those of the serial writer.  One block, one CPU, or no ``os.fork``
+writes in-process.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .superfamily import (
 )
 from .transform import SignalBuffer, scale_grid, transform
 
-# the module, not the function of the same name: its FFT worker count is
+# the module, not the function of the same name: its thread count is
 # read at call time, so one setting serves the transform and the formatter
 _TRANSFORM = sys.modules[SignalBuffer.__module__]
 
@@ -185,11 +186,13 @@ def _write_lines(f, n_rows: int, row_cells: int, lines):
 
 
 def _fork() -> int:
-    # The parent has threads (numpy's BLAS pool, pocketfft's workers), so
-    # Python 3.12+ warns that fork may deadlock the child.  The child only
-    # formats Python floats, writes to its pipe and leaves through
-    # os._exit; it takes no lock those threads may hold, and the pocketfft
-    # and BLAS pools re-arm through their own pthread_atfork handlers.
+    # The parent may have threads (numpy's BLAS pool), so Python 3.12+
+    # warns that fork may deadlock the child.  `transform` starts no
+    # pocketfft pool, and its own row threads are joined before it returns,
+    # so none runs when `cwt` forks.  The child only formats Python floats,
+    # writes to its pipe and leaves through os._exit; it takes no lock a
+    # thread may hold, and the BLAS pool re-arms through its own
+    # pthread_atfork handler.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
@@ -521,6 +524,16 @@ def cmd_cwt(cfg: RunConfig) -> int:
         eta=cfg.options["eta"],
         p0=cfg.options["p0"],
     )
+    # the t column holds k*dt and the header w_p/(s*dt): all must be finite
+    with np.errstate(over="ignore", divide="ignore"):
+        finite = (math.isfinite((len(sig.samples) - 1) * sig.dt)
+                  and np.isfinite(grid.scales * sig.dt).all()
+                  and np.isfinite(grid.peak_frequencies(sig.dt)).all())
+    if not finite:
+        raise ValueError(
+            f"dt={_fmt(sig.dt)} puts the sample times or the scales' peak "
+            "frequencies outside double range"
+        )
     norm = "unitary_n_half" if cfg.options["norm"] == "nhalf" else "bandpass_n1"
     res = transform(sig, grid, normalization=norm, boundary=cfg.options["boundary"])
 

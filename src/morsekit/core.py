@@ -244,19 +244,29 @@ def eval_rescaled_spectrum(p: MorseParams, omega):
     directly as 2 * omega**beta * exp(beta/gamma * (1 - omega**gamma)),
     which stays finite for parameter values whose peak frequency would
     overflow.
+
+    The steps of _rescaled_log_shape run in place on two buffers of the
+    input's size.  No mask is needed: ln(w) is -inf at w = +-0, so the
+    exponent is -inf and the value +0.0, and it is nan for w < 0, -inf and
+    nan, and inf - inf = nan at w = +inf; every nan exponent gives 0.
     """
     if p.beta == 0:
         raise ValueError("rescaled spectrum requires beta > 0 (no peak to rescale by)")
     w = np.asarray(omega, dtype=float)
     scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    pos = (w > 0) & np.isfinite(w)
-    if np.any(pos):
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            expo = _rescaled_log_shape(p.beta, p.gamma, np.log(w[pos]))
-            vals = 2.0 * np.exp(expo)
-        out[pos] = np.where(np.isnan(expo), 0.0, vals)
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        out = np.log(np.atleast_1d(w))
+        # (beta/gamma) * (1 - w**gamma), then beta*ln(w) + that
+        tail = np.multiply(p.gamma, out)
+        np.exp(tail, out=tail)
+        np.subtract(1.0, tail, out=tail)
+        np.multiply(p.beta / p.gamma, tail, out=tail)
+        np.multiply(p.beta, out, out=out)
+        np.add(out, tail, out=out)
+        np.exp(out, out=out)
+        np.multiply(2.0, out, out=out)
+    # the values are >= 0, so fmax only turns nan into 0
+    np.fmax(out, 0.0, out=out)
     return float(out[0]) if scalar else out
 
 
@@ -400,8 +410,8 @@ def sample_wavelet(
         raise ValueError(f"scale must be positive (got {scale})")
     if n < 16:
         raise ValueError(f"need at least 16 samples (got {n})")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive (got {dt})")
+    if not 0 < dt < math.inf:  # nan included
+        raise ValueError(f"dt must be positive and finite (got {dt})")
 
     nyquist = np.pi / dt
     if p.beta > 0 and peak_frequency(p) / scale >= nyquist:

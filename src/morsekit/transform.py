@@ -6,23 +6,25 @@ O(N log N) per scale.  Internal frequencies are radians per sample; the
 sample spacing dt enters only when converting a scale to a physical
 frequency, peak_frequency/(scale*dt).
 
-The filter bank runs in blocks of scales.  A row's filter is evaluated
-only on the bins below the frequency where the Morse spectrum underflows
-to exactly 0 (found once per transform), and one multi-threaded inverse
-FFT, using every CPU the process may run on, turns a whole block into
-coefficient rows.  pocketfft splits a call across rows only, so a block
-holds at least one row per worker, and otherwise as many rows as fit in
-8 MB.  The rows are stored scale-major, so the time x scale
-``CwtResult.coefficients`` is a Fortran-ordered view, and the transform
-needs the output plus one block of memory.  The coefficients are bitwise
-those of one full-length filter and one inverse FFT per scale, whatever
-the block size or thread count.
+The filter bank runs one scale row per task on as many threads as the
+process may use CPUs, the calling thread among them.  A row's filter is
+evaluated only on the bins below the frequency where the Morse spectrum
+underflows to exactly 0 (found once per transform), multiplied into the
+row, and the row is inverted by a one-thread inverse FFT, cropped and
+scaled into the output by the same thread.  The rows are stored
+scale-major, so the time x scale ``CwtResult.coefficients`` is a
+Fortran-ordered view.  Memory is the output, plus one padded row per
+thread for the non-periodic boundaries (periodic rows are inverted in
+place in the output), plus O(m) per thread for the filter.  The
+coefficients are bitwise those of one full-length filter and one inverse
+FFT per scale, whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +44,8 @@ __all__ = [
 NORMALIZATIONS = ("bandpass_n1", "unitary_n_half")
 BOUNDARIES = ("periodic", "zero", "mirror")
 
-# cap on one block of padded filter rows, unless one row per FFT worker
-# is more; pocketfft adds about one row of scratch per thread on top
-_BLOCK_BYTES = 8 << 20
-# the inverse FFTs use every CPU this process may run on; the results do
-# not depend on the count
+# the filter bank runs one row per thread on every CPU this process may
+# run on; the results do not depend on the count
 if hasattr(os, "sched_getaffinity"):
     _FFT_WORKERS = len(os.sched_getaffinity(0))
 else:
@@ -200,6 +199,47 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def _run_rows(n_rows: int, run_row, scratch_len: int | None):
+    """Call ``run_row(j, scratch)`` once for each j in range(n_rows) on
+    min(_FFT_WORKERS, n_rows) threads, the calling thread among them.  Each
+    thread takes the next row until none is left, passing a complex scratch
+    row of ``scratch_len`` bins of its own (None if scratch_len is None).
+    The first error stops every thread from taking another row; once all
+    are joined, it is raised in the caller."""
+    todo = iter(range(n_rows))
+    lock = threading.Lock()
+    errors = []
+
+    def take():
+        with lock:
+            return None if errors else next(todo, None)
+
+    def work():
+        try:
+            scratch = None if scratch_len is None else np.empty(scratch_len, complex)
+            while (j := take()) is not None:
+                run_row(j, scratch)
+        except BaseException as exc:  # re-raised in the caller
+            with lock:
+                errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(_FFT_WORKERS, n_rows) - 1):
+            t = threading.Thread(target=work)
+            t.start()
+            threads.append(t)
+        work()
+    except BaseException as exc:  # a thread that could not start
+        with lock:
+            errors.append(exc)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def transform(
     x: SignalBuffer,
     grid: ScaleGrid,
@@ -218,15 +258,16 @@ def transform(
     in 'mirror' mode, and crop after inversion.
 
     Each row's filter is evaluated only below the frequency where the
-    spectrum underflows to exactly 0, and each block of scales is inverted
-    by one FFT over its rows on every CPU the process may use.  The FFT
-    threads split a call by rows, so a block holds one padded row per
-    worker, or more if they fit in _BLOCK_BYTES (8 MB): at most
-    max(8 MB, workers padded rows).  Rows are written scale-major, so
-    ``coefficients`` is a Fortran-ordered time x scale view.  Beyond the
-    output the transform holds one block (periodic rows are inverted in
-    place in the output) and O(m) for the spectrum.  The coefficients do
-    not depend on the block size or the thread count.
+    spectrum underflows to exactly 0.  Every scale row is one task:
+    _FFT_WORKERS threads (every CPU the process may use, the calling thread
+    among them) each take the next row, evaluate its filter, invert it with
+    a one-thread FFT and write it, cropped and scaled, to the output.  Rows
+    are written scale-major, so ``coefficients`` is a Fortran-ordered
+    time x scale view.  Beyond the output the transform holds one padded
+    row per thread for the non-periodic boundaries (periodic rows are
+    inverted in place in the output) and O(m) per thread for the filter.
+    An error in any row stops the others and is raised here once every
+    thread has ended.  The coefficients do not depend on the thread count.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -256,29 +297,25 @@ def transform(
     spectrum = np.fft.fft(buf)[: supports.max()].copy()  # the bins any row uses
     del buf
     omega_pos = 2.0 * np.pi * np.arange(len(spectrum)) / m
+    unitary = normalization == "unitary_n_half"
 
     out = np.empty((len(scales), n), dtype=complex)
-    # complex rows of m bins, at least one per FFT worker
-    rows = max(_FFT_WORKERS, _BLOCK_BYTES // (16 * m))
-    # periodic rows are inverted in place in the output
-    if boundary == "periodic":
-        work = None
-    else:
-        work = np.empty((min(rows, len(scales)), m), dtype=complex)
-    for j0 in range(0, len(scales), rows):
-        j1 = min(j0 + rows, len(scales))
-        dest = out[j0:j1]
-        block = dest if work is None else work[: j1 - j0]
-        for row, s, k in zip(block, scales[j0:j1], supports[j0:j1]):
-            filt = eval_spectrum(grid.params, s * omega_pos[:k])
-            np.multiply(spectrum[:k], filt, out=row[:k])
-            row[k:] = 0.0
-        inverse = scipy.fft.ifft(block, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
-        cropped = inverse[:, offset : offset + n]
-        if normalization == "unitary_n_half":
-            np.multiply(cropped, np.sqrt(scales[j0:j1])[:, None], out=dest)
-        elif not np.may_share_memory(cropped, dest):  # periodic: already in place
-            dest[...] = cropped
+
+    def run_row(j, scratch):
+        # periodic rows are inverted in place in the output
+        row = out[j] if scratch is None else scratch
+        k = supports[j]
+        filt = eval_spectrum(grid.params, scales[j] * omega_pos[:k])
+        np.multiply(spectrum[:k], filt, out=row[:k])
+        row[k:] = 0.0
+        inverse = scipy.fft.ifft(row, overwrite_x=True, workers=1)
+        cropped = inverse[offset : offset + n]
+        if unitary:
+            np.multiply(cropped, np.sqrt(scales[j]), out=out[j])
+        elif not np.may_share_memory(cropped, out[j]):  # periodic: already in place
+            out[j] = cropped
+
+    _run_rows(len(scales), run_row, None if boundary == "periodic" else m)
 
     return CwtResult(
         coefficients=out.T,

@@ -80,8 +80,8 @@ def log_trapezoid_integral(f, lo: float, hi: float, n: int = 200001) -> float:
 
 def reference_transform(samples, grid, normalization="bandpass_n1", boundary="periodic"):
     """Time x scale coefficients from one full-length filter and one numpy
-    inverse FFT per scale: the plain loop that the blocked transform must
-    match bit for bit."""
+    inverse FFT per scale: the plain loop that the threaded filter bank
+    must match bit for bit."""
     import numpy as np
 
     from morsekit.core import eval_spectrum

@@ -411,9 +411,7 @@ class TestCwt:
         path = tmp_path / "noise.txt"
         noise = np.random.default_rng(0).standard_normal(n).tolist()
         path.write_text("\n".join(map(repr, noise)) + "\n")
-        # four rows fit in the byte cap, more than one per worker
         monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
-        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 4 * 16 * n)
         n_scales = len(scale_grid(n, MorseParams(9, 3), density=8))
         out = tmp_path / f"cwt.{fmt}"
         tracemalloc.start()
@@ -423,9 +421,9 @@ class TestCwt:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the transform's own bound (coefficients, one block, a few dozen
-        # bytes per sample), plus one row as Python floats and text
-        assert peak <= 16 * n * n_scales + TRANSFORM._BLOCK_BYTES + 96 * n + 128 * n_scales
+        # the transform's own bound (coefficients, one row per worker, a few
+        # dozen bytes per sample), plus one row as Python floats and text
+        assert peak <= 16 * n * n_scales + 2 * 16 * n + 96 * n + 128 * n_scales
 
     def test_json_overflow_rejected_before_writing(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
@@ -454,6 +452,23 @@ class TestCwt:
         out = tmp_path / f"cwt.{fmt}"
         assert run("cwt", "--signal", str(path), "--format", fmt, "--out", str(out)) == 2
         assert capsys.readouterr().err == "error: dt must be positive and finite (got inf)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("dt", ["1e308", "5e-324"])
+    def test_dt_out_of_range_rejected_before_writing(self, tmp_path, capsys, fmt, dt):
+        # 1e308 overflows the sample times, 5e-324 the peak frequencies
+        path = tmp_path / "sig.txt"
+        path.write_text(f"# dt={dt}\n" + "1.0\n-1.0\n" * 128)
+        out = tmp_path / f"cwt.{fmt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("cwt", "--signal", str(path), "--format", fmt, "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: dt={float(dt)!r} puts the sample times or the scales' peak "
+            "frequencies outside double range\n"
+        )
         assert not out.exists()
 
     def test_complex_two_column_input(self, tmp_path):

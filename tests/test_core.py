@@ -173,6 +173,39 @@ class TestRescaledSpectrum:
         with pytest.raises(ValueError):
             eval_rescaled_spectrum(MorseParams(0, 1), 1.0)
 
+    @staticmethod
+    def _masked(p, omega):
+        # the formula on w > 0 and finite only, zero elsewhere and wherever
+        # the exponent is nan
+        w = np.asarray(omega, dtype=float)
+        scalar = w.ndim == 0
+        w = np.atleast_1d(w)
+        out = np.zeros_like(w)
+        pos = (w > 0) & np.isfinite(w)
+        if np.any(pos):
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                logw = np.log(w[pos])
+                expo = p.beta * logw + (p.beta / p.gamma) * (1.0 - np.exp(p.gamma * logw))
+                vals = 2.0 * np.exp(expo)
+            out[pos] = np.where(np.isnan(expo), 0.0, vals)
+        return float(out[0]) if scalar else out
+
+    @pytest.mark.parametrize("b, g", [(9, 3), (60, 0.3), (1e-3, 10), (500, 0.05), (1, 30)])
+    def test_bitwise_equal_to_the_masked_formula(self, b, g):
+        p = MorseParams(b, g)
+        rng = np.random.default_rng(0)
+        special = [0.0, -0.0, -1.0, -1e-300, -math.inf, math.inf, math.nan,
+                   1e-300, 1e300, 5e-324, 1.0, 1.7e308]
+        for w in (np.array(special), 3.0 * rng.standard_normal(500),
+                  np.exp(rng.uniform(-700.0, 700.0, 500)), rng.uniform(0.0, 5.0, (7, 9))):
+            got = eval_rescaled_spectrum(p, w)
+            assert got.shape == w.shape
+            assert got.tobytes() == self._masked(p, w).tobytes()
+        for w in special:
+            got = eval_rescaled_spectrum(p, w)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(self._masked(p, w)).tobytes()
+
 
 from helpers import fd_log_derivative
 
@@ -378,3 +411,8 @@ class TestSampleWavelet:
             sample_wavelet(MorseParams(3, 3), -1.0, 64, 0.1)
         with pytest.raises(ValueError):
             sample_wavelet(MorseParams(3, 3), 1.0, 64, 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match=r"^dt must be positive and finite \(got "):
+            sample_wavelet(MorseParams(9, 3), 1.0, 64, dt)

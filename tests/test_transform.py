@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -234,7 +236,7 @@ def _noise(n, complex_signal=False, seed=0):
 
 
 class TestBlockedTransform:
-    """The blocked filter bank against the plain one-scale-at-a-time loop."""
+    """The threaded filter bank against the plain one-scale-at-a-time loop."""
 
     # odd and prime lengths, a complex signal; the spectra of (9, 3) and
     # (3, 2) underflow to 0 below the Nyquist rate on most scales, those of
@@ -257,43 +259,29 @@ class TestBlockedTransform:
         assert got.shape == (n, len(grid)) and got.flags.f_contiguous
         assert np.array_equal(got, reference_transform(x, grid, normalization, boundary))
 
-    @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
-    def test_many_blocks_and_a_partial_last_one(self, monkeypatch, boundary):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_single_thread_ifft_per_row(self, monkeypatch, workers):
         n = 1237
         x = _noise(n, seed=1)
         grid = scale_grid(n, P93, density=4)
-        m = n if boundary == "periodic" else 4096
-        assert len(grid) % 5 != 0
-        # five rows fit in the byte cap, more than one per worker
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
-        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 5 * 16 * m + 1)
+        # a grid of fewer scales than workers leaves a thread without a row
+        short = dataclasses.replace(grid, scales=grid.scales[:2])
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
         calls = []
         ifft = TRANSFORM.scipy.fft.ifft
         monkeypatch.setattr(TRANSFORM.scipy.fft, "ifft",
-                            lambda a, **kw: calls.append(len(a)) or ifft(a, **kw))
-        for normalization in ("bandpass_n1", "unitary_n_half"):
-            got = transform(SignalBuffer(x), grid, normalization, boundary).coefficients
-            assert np.array_equal(got, reference_transform(x, grid, normalization, boundary))
-        assert calls == 2 * ([5] * (len(grid) // 5) + [len(grid) % 5])
-
-    def test_one_row_per_worker_when_a_row_exceeds_the_cap(self, monkeypatch):
-        n = 1237
-        x = _noise(n, seed=4)
-        grid = scale_grid(n, P93, density=4)
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
-        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 16 * n - 1)  # below any row
-        calls = []
-        ifft = TRANSFORM.scipy.fft.ifft
-        monkeypatch.setattr(TRANSFORM.scipy.fft, "ifft",
-                            lambda a, **kw: calls.append(len(a)) or ifft(a, **kw))
+                            lambda a, **kw: calls.append((a.shape, kw["workers"]))
+                            or ifft(a, **kw))
         for boundary in ("periodic", "zero", "mirror"):
+            m = n if boundary == "periodic" else 4096
             for normalization in ("bandpass_n1", "unitary_n_half"):
-                calls.clear()
-                got = transform(SignalBuffer(x), grid, normalization, boundary).coefficients
-                assert np.array_equal(
-                    got, reference_transform(x, grid, normalization, boundary)
-                )
-                assert calls == [2] * (len(grid) // 2) + [1] * (len(grid) % 2)
+                for g in (grid, short):
+                    calls.clear()
+                    got = transform(SignalBuffer(x), g, normalization, boundary).coefficients
+                    assert np.array_equal(
+                        got, reference_transform(x, g, normalization, boundary)
+                    )
+                    assert calls == [((m,), 1)] * len(g)
 
     def test_worker_count_independence(self, monkeypatch):
         n = 4096
@@ -324,18 +312,20 @@ class TestBlockedTransform:
         transform(SignalBuffer(_noise(n)), grid)
         omega_pos = 2.0 * np.pi * np.arange(n // 2 + 1) / n
         assert len(evaluated) == len(grid)
-        for s, k in zip(grid.scales, evaluated):
+        # threads take the rows in any order; a row's support shrinks as its
+        # scale grows
+        for s, k in zip(grid.scales, sorted(evaluated, reverse=True)):
             assert np.all(eval_spectrum(p, s * omega_pos[k:]) == 0.0)
         if params == (9.0, 3.0):
             assert sum(evaluated) < 0.6 * len(grid) * len(omega_pos)
 
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("boundary", ["periodic", "mirror"])
-    def test_memory_is_output_plus_one_block(self, monkeypatch, boundary):
+    def test_memory_is_output_plus_one_row_per_worker(self, monkeypatch, boundary,
+                                                      workers):
         n = 4096
         m = n if boundary == "periodic" else 2 * n
-        # four rows fit in the byte cap, more than one per worker
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
-        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 4 * 16 * m)
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
         x = _noise(n, seed=3)
         grid = scale_grid(n, P93, density=8)
         tracemalloc.start()
@@ -344,25 +334,77 @@ class TestBlockedTransform:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # spectrum, padded signal, bin frequencies and one row's filter
+        # spectrum, padded signal, bin frequencies and the filter
         # temporaries are a few dozen bytes per padded sample
-        assert peak <= res.coefficients.nbytes + TRANSFORM._BLOCK_BYTES + 96 * m
+        assert peak <= res.coefficients.nbytes + workers * 16 * m + 96 * m
+
+
+class _RowFailure(Exception):
+    pass
+
+
+class TestRowWorkers:
+    """The filter bank's threads: errors, joins, and none for one CPU."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", ["periodic", "mirror"])
+    def test_error_in_one_row_reaches_the_caller(self, monkeypatch, boundary, workers):
+        n = 4096
+        grid = scale_grid(n, P93, density=8)
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        failure = _RowFailure("row 5")
+        calls = []
+        lock = threading.Lock()
+
+        def failing(q, omega):
+            if np.ndim(omega):  # a filter row, not a step of the cutoff search
+                with lock:
+                    calls.append(len(omega))
+                    if len(calls) == 5:
+                        raise failure
+            return eval_spectrum(q, omega)
+
+        monkeypatch.setattr(TRANSFORM, "eval_spectrum", failing)
+        threads = threading.active_count()
+        with pytest.raises(_RowFailure) as excinfo:
+            transform(SignalBuffer(_noise(n)), grid, boundary=boundary)
+        assert excinfo.value is failure
+        assert threading.active_count() == threads
+        # the others stopped taking rows once the fifth one failed
+        assert 5 <= len(calls) < len(grid)
 
     @pytest.mark.parametrize("boundary", ["periodic", "mirror"])
-    def test_memory_is_output_plus_one_row_per_worker(self, monkeypatch, boundary):
-        n = 4096
-        m = n if boundary == "periodic" else 2 * n
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 3)
-        monkeypatch.setattr(TRANSFORM, "_BLOCK_BYTES", 16 * m - 1)  # below one row
-        x = _noise(n, seed=3)
+    def test_more_threads_than_cpus_take_each_row_once(self, monkeypatch, boundary):
+        n = 1237
+        x = _noise(n, seed=6)
         grid = scale_grid(n, P93, density=8)
-        tracemalloc.start()
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 8)
+        calls = []
+        ifft = TRANSFORM.scipy.fft.ifft
+        monkeypatch.setattr(TRANSFORM.scipy.fft, "ifft",
+                            lambda a, **kw: calls.append(1) or ifft(a, **kw))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            res = transform(SignalBuffer(x), grid, boundary=boundary)
-            peak = tracemalloc.get_traced_memory()[1]
+            got = transform(SignalBuffer(x), grid, boundary=boundary).coefficients
         finally:
-            tracemalloc.stop()
-        assert peak <= res.coefficients.nbytes + 3 * 16 * m + 96 * m
+            sys.setswitchinterval(interval)
+        assert len(calls) == len(grid)
+        assert np.array_equal(got, reference_transform(x, grid, boundary=boundary))
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        n = 1237
+        x = _noise(n, seed=5)
+        grid = scale_grid(n, P93, density=4)
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was created")
+
+        monkeypatch.setattr(TRANSFORM.threading, "Thread", no_thread)
+        for boundary in ("periodic", "zero", "mirror"):
+            got = transform(SignalBuffer(x), grid, boundary=boundary).coefficients
+            assert np.array_equal(got, reference_transform(x, grid, boundary=boundary))
 
 
 class TestRidgeCheck:
