@@ -7,15 +7,15 @@ Closed forms come from the generalized-gamma integral
 
 evaluated through log-gamma, once, as kernels on raw (beta, gamma) arrays
 that broadcast over a whole grid of the parameter plane; the MorseParams
-functions wrap them.  An independent adaptive-quadrature oracle
+functions wrap them.  An independent quadrature oracle
 (`quadrature_moment`, `quadrature_integral`) checks every closed form; no
-CLI command calls it.  Its QUADPACK fallback imports `scipy.integrate` on
-first use, so importing this module does not load it.
+CLI command calls it.  It is one double-exponential rule: a fixed map of
+(0, inf), (0, upper) or the real line onto t, then the trapezoid rule in
+t with its step halved until two sums agree.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +43,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The quadrature oracle could not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -235,306 +235,110 @@ def property_summary(p: MorseParams) -> PropertySummary:
 # quadrature oracle
 # ---------------------------------------------------------------------------
 
-_TRUNCATION = 1e-18  # integrand cut relative to its maximum
-_COARSE_PROBE = 1024
-_FINE_PROBE = 512
+# Double-exponential rules (Takahasi and Mori, Publ. RIMS 9, 1974; Trefethen
+# and Weideman, SIAM Review 56, 2014): a fixed map w(t) whose Jacobian
+# decays double-exponentially in t, then the plain trapezoid rule in t.
+# Every map has x = (pi/2) sinh t inside it.  |x| <= _DE_REACH keeps every
+# node and Jacobian finite: the exp-sinh nodes span exp(+-230), where w**3
+# and 1/w are finite, and cosh(x)**2 stays below the overflow threshold.
+_DE_REACH = 230.0
+_DE_T = math.asinh(_DE_REACH / (0.5 * math.pi))
+_DE_FIRST_NODES = 48  # nodes per half of [-_DE_T, _DE_T] at the first level
+_DE_HALVINGS = 10
 
 
-def _evaluate(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to scalar calls."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(f(v)) for v in x], dtype=float)
-
-
-def _probe_window(g, lo: float, hi: float, log_spaced: bool):
-    """Locate the integrand bump and the truncation window inside [lo, hi].
-
-    Returns (a, b, peak, rough, left_slope) or None if the integrand
-    vanishes on the probe: window endpoints a, b where the integrand first
-    falls below 1e-18 of its maximum, the bump abscissa, a crude trapezoid
-    estimate of the integral (tolerance scale only), and the log-log slope
-    at the left probe edge (power-law exponent of a possible endpoint
-    singularity).  A second, locally refined probe sharpens the bump so
-    narrow features between coarse points are not missed.
-    """
-    if log_spaced:
-        xs = np.geomspace(lo, hi, _COARSE_PROBE)
-    else:
-        xs = np.linspace(lo, hi, _COARSE_PROBE)
-    with np.errstate(all="ignore"):
-        ys = np.abs(_evaluate(g, xs))
-    ys[~np.isfinite(ys)] = 0.0
-    if not np.any(ys > 0):
-        return None
-
-    i = int(np.argmax(ys))
-    a2, b2 = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    if log_spaced:
-        fine = np.geomspace(a2, b2, _FINE_PROBE)
-    else:
-        fine = np.linspace(a2, b2, _FINE_PROBE)
-    with np.errstate(all="ignore"):
-        yf = np.abs(_evaluate(g, fine))
-    yf[~np.isfinite(yf)] = 0.0
-
-    xs = np.concatenate([xs, fine])
-    ys = np.concatenate([ys, yf])
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-
-    gmax = float(ys.max())
-    ipk = int(np.argmax(ys))
-    cut = _TRUNCATION * gmax
-    below_hi = np.nonzero(ys[ipk:] < cut)[0]
-    b = float(xs[ipk + below_hi[0]]) if len(below_hi) else hi
-    below_lo = np.nonzero(ys[: ipk + 1] < cut)[0]
-    a = float(xs[below_lo[-1]]) if len(below_lo) else lo
-
-    inside = (xs >= a) & (xs <= b)
-    rough = float(np.trapezoid(ys[inside], xs[inside]))
-
-    left_slope = 0.0
-    if log_spaced:
-        lead = np.nonzero((xs <= xs[0] * 1e2) & (ys > 0))[0]
-        if len(lead) >= 4:
-            left_slope = float(
-                np.polyfit(np.log(xs[lead]), np.log(ys[lead]), 1)[0]
-            )
-    return a, b, float(xs[ipk]), rough, left_slope
-
-
-# 15-point Kronrod rule with embedded 7-point Gauss (QUADPACK dqk15 nodes)
-_GK_X = np.array(
-    [
-        -0.9914553711208126,
-        -0.9491079123427585,
-        -0.8648644233597691,
-        -0.7415311855993944,
-        -0.5860872354676911,
-        -0.4058451513773972,
-        -0.2077849550078985,
-        0.0,
-        0.2077849550078985,
-        0.4058451513773972,
-        0.5860872354676911,
-        0.7415311855993944,
-        0.8648644233597691,
-        0.9491079123427585,
-        0.9914553711208126,
-    ]
-)
-_GK_WK = np.array(
-    [
-        0.0229353220105292,
-        0.0630920926299786,
-        0.1047900103222502,
-        0.1406532597155259,
-        0.1690047266392679,
-        0.1903505780647854,
-        0.2044329400752989,
-        0.2094821410847278,
-        0.2044329400752989,
-        0.1903505780647854,
-        0.1690047266392679,
-        0.1406532597155259,
-        0.1047900103222502,
-        0.0630920926299786,
-        0.0229353220105292,
-    ]
-)
-_GK_WG = np.zeros(15)
-_GK_WG[1::2] = [
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-    0.3818300505051189,
-    0.2797053914892767,
-    0.1294849661688697,
-]
-
-
-def _gk15(g, a: float, b: float):
-    """One Gauss-Kronrod panel: (value, error, scale) on [a, b].
-
-    The error estimate follows QUADPACK: the Gauss/Kronrod difference
-    scaled against the integrand's deviation from its panel mean.
-    """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    with np.errstate(all="ignore"):
-        y = _evaluate(g, mid + half * _GK_X)
-    y[~np.isfinite(y)] = 0.0
-    resk = half * float(_GK_WK @ y)
-    resg = half * float(_GK_WG @ y)
-    resabs = half * float(_GK_WK @ np.abs(y))
-    mean = resk / (b - a)
-    resasc = half * float(_GK_WK @ np.abs(y - mean))
-    err = abs(resk - resg)
-    if resasc > 0 and err > 0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk, err, resabs
-
-
-def _adaptive_gk(g, a: float, b: float, epsabs: float, rtol: float, limit: int = 2000):
-    """Adaptive-subdivision Gauss-Kronrod on [a, b]; (value, error)."""
-    val, err, _ = _gk15(g, a, b)
-    heap = [(-err, a, b, val)]
-    total, total_err = val, err
-    for _ in range(limit):
-        if total_err <= max(epsabs, rtol * abs(total)):
-            break
-        neg_err, xa, xb, v = heapq.heappop(heap)
-        worst = -neg_err
-        if worst <= 0 or xb - xa <= 1e-15 * (abs(xa) + abs(xb)) + 1e-300:
-            # the dominant interval cannot be refined further
-            heapq.heappush(heap, (neg_err, xa, xb, v))
-            break
-        xm = 0.5 * (xa + xb)
-        v1, e1, _ = _gk15(g, xa, xm)
-        v2, e2, _ = _gk15(g, xm, xb)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - worst
-        heapq.heappush(heap, (-e1, xa, xm, v1))
-        heapq.heappush(heap, (-e2, xm, xb, v2))
-    return total, total_err
+def _de_map(t, full_line: bool, hard_upper: float | None):
+    """Nodes w(t) and Jacobian dw/dt of the double-exponential maps."""
+    x = 0.5 * np.pi * np.sinh(t)
+    dx = 0.5 * np.pi * np.cosh(t)
+    if hard_upper is not None:
+        # tanh-sinh, upper (1 + tanh x) / 2, formed so nodes near 0 keep
+        # their precision
+        w = hard_upper / (1.0 + np.exp(-2.0 * x))
+        return w, hard_upper * dx / (2.0 * np.cosh(x) ** 2)
+    if full_line:
+        return 1.0 + np.sinh(x), np.cosh(x) * dx  # sinh-sinh
+    w = np.exp(x)  # exp-sinh
+    return w, w * dx
 
 
 def quad(*args, **kwargs):
-    """`scipy.integrate.quad`, imported on the first call: it is only the
-    fallback of `quadrature_integral`, and the import pulls in the
-    optimize, sparse and linalg subpackages of scipy."""
+    """`scipy.integrate.quad`, imported on the first call.  Nothing in this
+    package calls it; it stays only as a hook for the benchmark's tracer."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)
 
 
 def quadrature_integral(
-    f,
-    gamma_eff: float = 1.0,
-    full_line: bool = False,
-    hard_upper: float | None = None,
-    probe_span: tuple[float, float] | None = None,
-    rtol: float = 1e-10,
+    f, full_line: bool = False, hard_upper: float | None = None, rtol: float = 1e-10
 ) -> float:
-    """Adaptive Gauss-Kronrod quadrature of ``f`` over (0, inf) or the
-    full real line.
+    """Integral of ``f`` over (0, inf), the real line (``full_line``), or
+    (0, ``hard_upper``), by a double-exponential rule.
 
-    For the half-line path the integral is mapped by u = w**gamma_eff,
-    which compresses the long tails that small decay exponents produce;
-    the integration window is truncated where the transformed integrand
-    falls below 1e-18 of its maximum, and an integrable power singularity
-    at the origin is flattened by a further v = u**(1/(p+1)) change of
-    variable with p estimated from the probe.  If the subdivision loop
-    cannot reach tolerance, QUADPACK's extrapolating integrator is tried
-    (`quad`, which imports `scipy.integrate` only then); failure there
-    raises QuadratureError with the achieved tolerance.
+    A fixed map carries the interval onto t: exp-sinh on (0, inf),
+    sinh-sinh centred at w = 1 on the real line, tanh-sinh on
+    (0, hard_upper).  The trapezoid rule sums f(w(t)) w'(t) over t in
+    [-5.68, 5.68], halving the step until two successive sums agree to
+    ``rtol``.  The maps suit integrands that live near unit frequency,
+    where every named spectrum peaks or ends, and absorb integrable power
+    singularities at the ends of the interval.  ``f`` must take arrays.
+    The caller must split the interval at a jump inside it, across which
+    the sums do not converge.
 
-    This is the test oracle for the closed forms and for the fixed-node
-    rules in `superfamily`; no CLI command calls it.
+    Raises QuadratureError if the sums still disagree after 10 halvings,
+    if the end nodes carry more than ``rtol`` of the sum (the integrand
+    does not decay), or if ``f`` is not finite at a node.  This is the
+    test oracle for the closed forms and for the fixed-node rules in
+    `superfamily`; no CLI command calls it.
     """
-    if full_line:
-        lo, hi = probe_span if probe_span is not None else (-200.0, 200.0)
-        window = _probe_window(f, lo, hi, log_spaced=False)
-        if window is None:
-            return 0.0
-        a, b, peak, rough, _ = window
-        g = f
-    else:
-        ge = gamma_eff
+    if full_line and hard_upper is not None:
+        raise ValueError("full_line and hard_upper exclude each other")
 
-        def g(u):
-            u = np.asarray(u, dtype=float)
-            with np.errstate(all="ignore"):
-                w = np.exp(np.log(u) / ge)
-                out = _evaluate(f, w) * (w / (ge * u))
-            return np.where(np.isfinite(out), out, 0.0)
+    def values(t):
+        with np.errstate(all="ignore"):
+            w, jac = _de_map(t, full_line, hard_upper)
+            y = np.asarray(f(w), dtype=float) * jac
+        bad = ~np.isfinite(y)
+        if np.any(bad):
+            raise QuadratureError(f"integrand is not finite at w = {w[bad][0]:.6g}")
+        return y
 
-        # clip so w = u**(1/gamma_eff) stays in double range
-        span = min(27.0, 660.0 * ge)
-        lo, hi = math.exp(-span), math.exp(span)
-        if hard_upper is not None:
-            hi = min(hi, hard_upper**ge)
-        window = _probe_window(g, lo, hi, log_spaced=True)
-        if window is None:
-            return 0.0
-        a, b, peak, rough, left_slope = window
-        if a <= lo * (1 + 1e-9):
-            # integrand non-negligible down to the endpoint; regularize an
-            # integrable power singularity u**p by u = v**m, m = 1/(p+1)
-            a = 0.0
-            if left_slope < -0.05:
-                m = 1.0 / max(left_slope + 1.0, 1e-3)
-                inner = g
-
-                def g(v):
-                    v = np.asarray(v, dtype=float)
-                    with np.errstate(all="ignore"):
-                        u = np.exp(m * np.log(v))
-                        out = inner(u) * (m * u / v)
-                    return np.where(np.isfinite(out), out, 0.0)
-
-                b = math.exp(math.log(b) / m)
-                peak = math.exp(math.log(peak) / m) if peak > 0 else peak
-
-    epsabs = max(1e-300, 1e-12 * rough)
-    # start from panels split at the bump so the first refinements land
-    # where the mass is
-    if a < peak < b:
-        v1, e1 = _adaptive_gk(g, a, peak, 0.5 * epsabs, rtol)
-        v2, e2 = _adaptive_gk(g, peak, b, 0.5 * epsabs, rtol)
-        value, err = v1 + v2, e1 + e2
-    else:
-        value, err = _adaptive_gk(g, a, b, epsabs, rtol)
-
-    if err <= max(epsabs, rtol * abs(value)) * 1.01:
-        return float(value)
-
-    # fall back to QUADPACK's extrapolating integrator
-    with np.errstate(all="ignore"):
-        result = quad(
-            lambda x: float(np.asarray(g(x)).ravel()[0]),
-            a,
-            b,
-            epsabs=epsabs,
-            epsrel=rtol,
-            limit=300,
-            full_output=True,
-        )
-    value, abserr = result[0], result[1]
-    if len(result) > 3 and abserr > max(epsabs, 10 * rtol * abs(value)):
-        raise QuadratureError(
-            f"quadrature did not converge: achieved tolerance {abserr:.3e} "
-            f"on value {value:.6e}"
-        )
-    return float(value)
-
-
-def _derivative_5pt(f, w, h):
-    return (f(w - 2 * h) - 8.0 * f(w - h) + 8.0 * f(w + h) - f(w + 2 * h)) / (12.0 * h)
+    n = _DE_FIRST_NODES
+    h = _DE_T / n
+    y = values(h * np.arange(-n, n + 1))
+    ends = abs(y[0]) + abs(y[-1])
+    total = h * float(np.sum(y))
+    for _ in range(_DE_HALVINGS):
+        if h * ends > rtol * abs(total):
+            raise QuadratureError(
+                f"the end nodes carry {h * ends:.3e} of the sum {total:.6e}: "
+                "the integrand does not decay at the ends of the rule"
+            )
+        # the new nodes are the odd multiples of the halved step
+        h *= 0.5
+        n *= 2
+        previous = total
+        total = 0.5 * previous + h * float(np.sum(values(h * np.arange(1 - n, n, 2))))
+        if abs(total - previous) <= rtol * abs(total):
+            return total
+    raise QuadratureError(
+        f"no convergence after {_DE_HALVINGS} halvings: the last two sums "
+        f"are {previous:.12e} and {total:.12e}"
+    )
 
 
 def quadrature_moment(
-    spectrum,
-    n: int,
-    weight: str = "energy",
-    gamma_eff: float = 1.0,
-    full_line: bool = False,
-    probe_span: tuple[float, float] | None = None,
+    spectrum, n: int, weight: str = "energy", full_line: bool = False
 ) -> float:
-    """Oracle moment int w**n |spectrum(w)|^2 dw by adaptive quadrature.
+    """Oracle moment int w**n |spectrum(w)|^2 dw by `quadrature_integral`.
 
     weight="energy" integrates w**n |spectrum|^2; "derivative_energy"
     integrates w**n |spectrum'|^2 with the derivative taken by 5-point
     central differences at relative step 1e-4.  The default domain is
     (0, inf); full_line=True switches to the whole real line (needed for
     the Morlet, whose spectrum leaks onto negative frequencies).
+    ``spectrum`` must take arrays, and be smooth inside the domain.
     """
     if weight not in ("energy", "derivative_energy"):
         raise ValueError(f"unknown weight {weight!r}")
@@ -542,21 +346,15 @@ def quadrature_moment(
     if weight == "energy":
 
         def integrand(w):
-            w = np.asarray(w, dtype=float)
             s = np.asarray(spectrum(w), dtype=float)
             return w**n * s * s
 
     else:
 
         def integrand(w):
-            w = np.asarray(w, dtype=float)
             h = 1e-4 * (np.abs(w) + (1.0 if full_line else 0.0))
-            d = _derivative_5pt(spectrum, w, h)
+            f = [spectrum(w + k * h) for k in (-2, -1, 1, 2)]
+            d = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
             return w**n * d * d
 
-    return quadrature_integral(
-        integrand,
-        gamma_eff=gamma_eff,
-        full_line=full_line,
-        probe_span=probe_span,
-    )
+    return quadrature_integral(integrand, full_line=full_line)

@@ -14,9 +14,9 @@ cross integral; `_morse_rho_sq` scores Gaussian similarity the same way on
 a whole grid, and `_morlet_area_and_rho_sq` gives the Morlet's area and
 similarity from Gaussian integrals in closed form.  The Morlet's peak
 frequency, and its nu at a given duration, are roots of monotone functions
-found by the array bisection `core._bisect`.  The adaptive
-quadrature behind `similarity_alpha_sq` and `gaussianity_rho_sq` stays the
-independent oracle.
+found by the array bisection `core._bisect`.  The double-exponential
+quadrature behind `similarity_alpha_sq` and `gaussianity_rho_sq`
+(`props.quadrature_integral`) stays the independent oracle.
 Growing beta at fixed gamma shrinks the relative bandwidth
 sigma_omega/omega_peak toward zero, so in that corner the members tend to
 pure complex exponentials (a diagnostic, not a constructible member).
@@ -84,16 +84,16 @@ class MorletParams:
 class NamedWavelet:
     """A wavelet known to the similarity machinery by its spectrum.
 
-    ``spectrum`` must be evaluable at any finite frequency.  ``gamma_eff``
-    advises the quadrature substitution for long-tailed spectra;
-    ``full_line`` marks spectra with negative-frequency support (Morlet);
-    ``hard_upper`` marks a hard band edge (Shannon).
+    ``spectrum`` must take arrays and be evaluable at any finite
+    frequency.  ``full_line`` marks spectra with negative-frequency
+    support (Morlet); ``hard_upper`` marks a spectrum that vanishes
+    outside (0, hard_upper] (Shannon).  These pick the map of the
+    double-exponential oracle `props.quadrature_integral`.
     """
 
     kind: str
     params: object
     spectrum: Callable
-    gamma_eff: float = 1.0
     full_line: bool = False
     hard_upper: float | None = None
     square_integrable: bool = True
@@ -374,7 +374,6 @@ def gmw_wavelet(p: MorseParams) -> NamedWavelet:
         kind="gmw",
         params=p,
         spectrum=lambda w: eval_rescaled_spectrum(p, w),
-        gamma_eff=p.gamma,
     )
 
 
@@ -423,16 +422,14 @@ def analytic_filter_wavelet() -> NamedWavelet:
 
 
 def _cross_integral(w1: NamedWavelet, w2: NamedWavelet) -> float:
-    full = w1.full_line or w2.full_line
     uppers = [u for u in (w1.hard_upper, w2.hard_upper) if u is not None]
     hard_upper = min(uppers) if uppers else None
-    gamma_eff = 1.0 if full else max(w1.gamma_eff, w2.gamma_eff)
+    # a band-limited factor vanishes outside (0, hard_upper], so does the product
+    full = hard_upper is None and (w1.full_line or w2.full_line)
     f = lambda w: np.asarray(w1.spectrum(w), dtype=float) * np.asarray(
         w2.spectrum(w), dtype=float
     )
-    return quadrature_integral(
-        f, gamma_eff=gamma_eff, full_line=full, hard_upper=hard_upper
-    )
+    return quadrature_integral(f, full_line=full, hard_upper=hard_upper)
 
 
 def _self_energy(w: NamedWavelet) -> float:
@@ -582,7 +579,7 @@ def _bessel_alpha_sq(betas, gammas, corner=None):
     resolves the narrowest spectrum up to ``corner`` = (beta, gamma), by
     default the largest beta and gamma among the inputs, with at least
     2001 nodes; a fit passes its box's corner so that all its points share
-    one rule.  Agrees with the adaptive-quadrature oracle
+    one rule.  Agrees with the double-exponential oracle
     `similarity_alpha_sq` to about 1e-12.
     """
     b, g, shape, scalar = _flat_pairs(betas, gammas)
@@ -621,9 +618,7 @@ def _morse_rho_sq(betas, gammas):
     lower end is set by the smallest beta; above the peak it is at most
     4 exp(u - P^2 (w - 1)^2 / 2), so the upper end is set by the smallest
     P.  The nodes resolve the largest P and gamma, as in `_bessel_alpha_sq`.
-    On the default `curves` grid this agrees with mpmath to about 3e-15,
-    while the adaptive oracle is off by up to 4e-8 where beta < 1/2 and
-    gamma >= 4.
+    On the default `curves` grid this agrees with mpmath to about 3e-15.
     """
     b, g, shape, scalar = _flat_pairs(betas, gammas)
     p_dur = np.sqrt(b * g)
@@ -674,7 +669,7 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
     alpha^2 comes from `_bessel_alpha_sq`: closed-form self-energies and a
     fixed-node trapezoid in ln w for the cross integral, evaluated one
     beta row of the grid at a time, with nodes sized for the narrowest
-    spectrum in the box.  The adaptive quadrature behind
+    spectrum in the box.  The double-exponential quadrature behind
     `similarity_alpha_sq` is the oracle the tests hold it to.
     """
     if grid is None:

@@ -103,8 +103,19 @@ class ScaleGrid:
         return math.log(2.0) / self.density
 
     def peak_frequencies(self, dt: float = 1.0) -> np.ndarray:
-        """Physical peak frequency analyzed by each scale."""
-        return peak_frequency(self.params) / (self.scales * dt)
+        """Physical peak frequency analyzed by each scale, w_p / (s dt).
+
+        Where s dt overflows or underflows to 0, the division runs in two
+        steps, (w_p / s) / dt, so a representable frequency is not flushed
+        to 0 or inf.
+        """
+        wp = peak_frequency(self.params)
+        with np.errstate(over="ignore", under="ignore"):
+            scaled = self.scales * dt
+        bad = ~np.isfinite(scaled) | (scaled == 0.0)
+        out = wp / np.where(bad, 1.0, scaled)
+        out[bad] = wp / self.scales[bad] / dt
+        return out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.special import gamma as gamma_function
 from hypothesis import strategies as st
 
 from helpers import ORACLE_BETAS, ORACLE_GAMMAS, log_trapezoid_integral
@@ -19,11 +20,13 @@ from morsekit.core import (
     sample_wavelet,
 )
 from morsekit.props import (
+    QuadratureError,
     energy_moment,
     heisenberg_area,
     mean_frequency,
     moment_table,
     property_summary,
+    quadrature_integral,
     quadrature_moment,
     sigma_omega,
     sigma_t,
@@ -239,7 +242,7 @@ class TestClosedFormPins:
 class TestQuadratureOracle:
     def test_matches_closed_form(self):
         p = MorseParams(1, 1)
-        q = quadrature_moment(lambda w: eval_spectrum(p, w), 0, "energy", gamma_eff=1)
+        q = quadrature_moment(lambda w: eval_spectrum(p, w), 0, "energy")
         assert q == pytest.approx(energy_moment(p, 0), rel=1e-8)
 
     def test_offset_gaussian(self):
@@ -261,11 +264,47 @@ class TestQuadratureOracle:
         g = 3.0
         p = MorseParams(b, g)
         spec = lambda w: eval_spectrum(p, w)
-        d = quadrature_moment(
-            spec, 0, "derivative_energy", gamma_eff=min(g, 2 * b - 1)
-        )
-        m0 = quadrature_moment(spec, 0, "energy", gamma_eff=g)
+        d = quadrature_moment(spec, 0, "derivative_energy")
+        m0 = quadrature_moment(spec, 0, "energy")
         assert math.sqrt(d / m0) == pytest.approx(sigma_t(p), rel=1e-8)
+
+
+class TestDoubleExponentialMaps:
+    """Each map of the oracle against a closed form, on its own."""
+
+    @pytest.mark.parametrize("s", [0.2, 30.0])
+    def test_exp_sinh_gamma_function(self, s):
+        # s = 0.2 puts an integrable singularity w**-0.8 at the origin
+        got = quadrature_integral(lambda w: np.exp((s - 1.0) * np.log(w) - w))
+        assert got == pytest.approx(gamma_function(s), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("upper", [1.0, 2.5])
+    def test_tanh_sinh_cube(self, upper):
+        got = quadrature_integral(lambda w: w * w, hard_upper=upper)
+        assert got == pytest.approx(upper**3 / 3.0, rel=1e-13, abs=0)
+
+    def test_sinh_sinh_gaussian_off_centre(self):
+        got = quadrature_integral(lambda w: np.exp(-((w + 3.0) ** 2)), full_line=True)
+        assert got == pytest.approx(math.sqrt(math.pi), rel=1e-13, abs=0)
+
+    def test_end_nodes_that_carry_the_sum_raise(self):
+        # 1/(1+w) is not integrable on the half-line
+        with pytest.raises(QuadratureError, match="end nodes"):
+            quadrature_integral(lambda w: 1.0 / (1.0 + w))
+
+    def test_jump_inside_the_interval_does_not_converge(self):
+        step = lambda w: np.where(w < 0.0, np.exp(-w * w), 0.0)
+        with pytest.raises(QuadratureError, match="no convergence"):
+            quadrature_integral(step, full_line=True)
+
+    def test_non_finite_integrand_raises(self):
+        # w = 1 is the node at t = 0 of every map on the half-line
+        with pytest.raises(QuadratureError, match="not finite at w = 1"):
+            quadrature_integral(lambda w: np.exp(-w) / (w - 1.0) ** 2)
+
+    def test_full_line_and_band_edge_exclude_each_other(self):
+        with pytest.raises(ValueError, match="exclude"):
+            quadrature_integral(lambda w: w, full_line=True, hard_upper=1.0)
 
 
 def _scipy_solvers_loaded_after(statement: str) -> str:
@@ -284,31 +323,21 @@ def _scipy_solvers_loaded_after(statement: str) -> str:
     return out.stdout.strip().splitlines()[-1]  # after any table on stdout
 
 
-class TestQuadpackFallback:
+class TestScipySolversUnloaded:
     def test_import_leaves_scipy_integrate_unloaded(self):
         assert _scipy_solvers_loaded_after("pass") == "[]"
+
+    def test_oracle_run_leaves_scipy_integrate_unloaded(self):
+        statement = (
+            "from morsekit.superfamily import *; "
+            "similarity_alpha_sq(bessel_wavelet(), shannon_wavelet())"
+        )
+        assert _scipy_solvers_loaded_after(statement) == "[]"
 
     def test_curves_run_leaves_scipy_optimize_unloaded(self):
         # the Morlet columns need a peak solve and a duration inversion
         statement = "morsekit.cli.main(['curves', '--pgrid', '1:0.5:4', '--gamma', '3'])"
         assert _scipy_solvers_loaded_after(statement) == "[]"
-
-    def test_forced_fallback_returns_the_oracle_value(self, monkeypatch):
-        # the subdivision loop reports a huge error, so quadrature_integral
-        # must go to QUADPACK, which it imports only then
-        real_gk, real_quad = props._adaptive_gk, props.quad
-        calls = []
-        monkeypatch.setattr(
-            props, "_adaptive_gk", lambda *a, **k: (real_gk(*a, **k)[0], 1e300)
-        )
-        monkeypatch.setattr(
-            props, "quad", lambda *a, **k: calls.append(1) or real_quad(*a, **k)
-        )
-        p = MorseParams(3, 2)
-        q = quadrature_moment(lambda w: eval_spectrum(p, w), 1, "energy", gamma_eff=2)
-        assert calls
-        assert "scipy.integrate" in sys.modules
-        assert q == pytest.approx(energy_moment(p, 1), rel=1e-10)
 
 
 class TestPropertySummary:

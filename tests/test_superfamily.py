@@ -183,10 +183,9 @@ class TestMorlet:
     def test_negative_frequency_energy_fraction(self):
         wav = morlet_wavelet(1.0)
         total = quadrature_moment(wav.spectrum, 0, "energy", full_line=True)
-        neg_only = lambda w: np.where(
-            np.asarray(w, dtype=float) < 0, wav.spectrum(w), 0.0
-        )
-        neg = quadrature_moment(neg_only, 0, "energy", full_line=True)
+        # the negative half-line, as the positive one of the mirrored spectrum:
+        # a rule across the jump at w = 0 would not converge
+        neg = quadrature_moment(lambda w: wav.spectrum(-np.asarray(w)), 0, "energy")
         assert neg / total > 1e-4
 
     def test_gmw_has_no_negative_support(self):
@@ -299,12 +298,10 @@ class TestSimilarity:
             s1 = w1.spectrum
             s2 = w2.spectrum
             r1 = type(w1)(
-                kind="gmw", params=w1.params, spectrum=lambda w, f=s1: f(c * w),
-                gamma_eff=w1.gamma_eff,
+                kind="gmw", params=w1.params, spectrum=lambda w, f=s1: f(c * w)
             )
             r2 = type(w2)(
-                kind="gmw", params=w2.params, spectrum=lambda w, f=s2: f(c * w),
-                gamma_eff=w2.gamma_eff,
+                kind="gmw", params=w2.params, spectrum=lambda w, f=s2: f(c * w)
             )
             assert similarity_alpha_sq(r1, r2) == pytest.approx(base, rel=1e-8)
 
@@ -318,6 +315,15 @@ class TestSimilarity:
             gmw_wavelet(MorseParams(3.0**2 / 0.05, 0.05)), lognormal_wavelet(3.0)
         )
         assert a2 > 0.9999
+
+    def test_lognormal_energy_far_above_the_peak(self):
+        # at P = 0.1 the lognormal energy density w |Psi|^2 peaks at w = e^50;
+        # reference: a dense uniform trapezoid in u = ln w
+        lognormal, morse = lognormal_wavelet(0.1), gmw_wavelet(MorseParams(0.2, 0.05))
+        w = np.exp(np.linspace(-400.0, 400.0, 800001))
+        s1, s2 = lognormal.spectrum(w), morse.spectrum(w)
+        want = np.sum(s1 * s2 * w) ** 2 / (np.sum(s1 * s1 * w) * np.sum(s2 * s2 * w))
+        assert similarity_alpha_sq(lognormal, morse) == pytest.approx(want, rel=1e-12)
 
 
 class TestGaussianity:
@@ -420,7 +426,8 @@ class TestBesselFit:
 
 
 class TestBesselAlphaSqRule:
-    """The fixed-node rule inside bessel_fit against the adaptive oracle."""
+    """The fixed-node rule inside bessel_fit against the double-exponential
+    oracle."""
 
     @staticmethod
     def oracle(beta, gamma):
@@ -465,21 +472,21 @@ class TestBesselAlphaSqRule:
 
 
 class TestMorseRhoSqRule:
-    """The quadrature-free rho^2 behind `curves` against the adaptive
-    oracle and against mpmath."""
+    """The quadrature-free rho^2 behind `curves` against the
+    double-exponential oracle and against mpmath."""
 
     def test_matches_oracle_on_a_grid(self):
-        betas = np.array([0.6, 2.0, 9.0, 27.0])[:, None]
-        gammas = np.array([1.0, 2.0, 3.0, 6.0])[None, :]
+        # beta < 1/2 at large gamma included: P reaches down to 0.5
+        betas = np.array([0.25 / 6, 0.3, 0.6, 2.0, 9.0, 27.0])[:, None]
+        gammas = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 12.0])[None, :]
         grid = _morse_rho_sq(betas, gammas)
-        assert grid.shape == (4, 4)
+        assert grid.shape == (6, 6)
         for (i, j), rho in np.ndenumerate(grid):
             b, g = float(betas[i, 0]), float(gammas[0, j])
             oracle = gaussianity_rho_sq(gmw_wavelet(MorseParams(b, g)))
-            assert abs(rho - oracle) <= 1e-10, (b, g)
+            assert abs(rho - oracle) <= 1e-13, (b, g)
 
-    # the Airy member, gamma = 1 at P = 8, and P = 0.5 at gamma = 6, where
-    # beta = 1/24 and the adaptive oracle is off by 3e-8
+    # the Airy member, gamma = 1 at P = 8, and P = 0.5 at gamma = 6
     @pytest.mark.parametrize("beta, gamma", [(9.0, 3.0), (64.0, 1.0), (0.25 / 6, 6.0)])
     def test_matches_mpmath(self, beta, gamma):
         want = _mpmath_similarity(
@@ -492,6 +499,26 @@ class TestMorseRhoSqRule:
         row = _morse_rho_sq(0.5**2 / gammas, gammas)
         for g, rho in zip(gammas, row):
             assert _morse_rho_sq(0.25 / g, g) == pytest.approx(rho, abs=1e-14)
+
+
+class TestOracleMatchesMpmath:
+    """The double-exponential oracle behind `similarity_alpha_sq` and
+    `gaussianity_rho_sq` against mpmath at 25 digits."""
+
+    @pytest.mark.parametrize("beta, gamma", [(0.25 / 6, 6.0), (0.3, 4.0), (9.0, 3.0)])
+    def test_morse_rho_sq(self, beta, gamma):
+        want = _mpmath_similarity(
+            _mp_morse(beta, gamma), _mp_bell(beta * gamma), _HALF_LINE
+        )
+        got = gaussianity_rho_sq(gmw_wavelet(MorseParams(beta, gamma)))
+        assert abs(got - want) <= 1e-13
+
+    def test_shannon_alpha_sq(self):
+        # the tanh-sinh map on (0, 1]; mpmath's segments split at the band edge
+        shannon = lambda w: 2 if w <= 1 else 0
+        want = _mpmath_similarity(_mp_morse(3.0, 3.0), shannon, _HALF_LINE)
+        got = similarity_alpha_sq(gmw_wavelet(MorseParams(3.0, 3.0)), shannon_wavelet())
+        assert abs(got - want) <= 1e-13
 
 
 class TestMorletClosedForms:

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestScaleGrid:
         assert freqs[0] == pytest.approx(
             peak_frequency(P93) / (grid.scales[0] * 0.01)
         )
+
+
+    @pytest.mark.parametrize("dt", [1e300, 1e-300, 0.01])
+    def test_peak_frequencies_where_scale_times_dt_overflows(self, dt):
+        # at (60, 0.3) the scales reach 1.8e10, so s * 1e300 overflows
+        p = MorseParams(60, 0.3)
+        grid = scale_grid(2**14, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = grid.peak_frequencies(dt)
+        want = np.array([peak_frequency(p) / s / dt for s in grid.scales])
+        assert np.all(want > 0) and np.all(np.isfinite(want))
+        assert np.all(np.abs(got - want) <= np.spacing(want))
 
 
 class TestTransform:
@@ -186,9 +200,7 @@ class TestTransform:
         n = 1024
         grid = scale_grid(n, P93, density=32, eta=0.01, p0=2.0)
         dlns = math.log(2.0) / grid.density
-        c_admiss = quadrature_integral(
-            lambda w: eval_spectrum(P93, w) ** 2 / w, gamma_eff=3.0
-        )
+        c_admiss = quadrature_integral(lambda w: eval_spectrum(P93, w) ** 2 / w)
 
         def ratio(samples):
             res = transform(
