@@ -278,17 +278,18 @@ def _out_file(cfg: RunConfig, stem: str) -> Path | None:
     return out / f"{stem}.{ext}"
 
 
-def _parse_list_or_range(text: str, log_range: bool = True) -> list[float]:
+def _parse_list_or_range(text: str) -> list[float]:
     """Parse 'a,b,c' as a list or 'lo:hi:n' as n log-spaced values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be lo:hi:count (got {text!r})")
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 2 or hi <= lo:
+        # a log range needs finite positive ends: np.geomspace turns nan,
+        # inf and a sign change into nan with a warning
+        if n < 2 or not 0 < lo < hi < math.inf:
             raise ValueError(f"bad range {text!r}")
-        grid = np.geomspace(lo, hi, n) if log_range else np.linspace(lo, hi, n)
-        return [float(v) for v in grid]
+        return [float(v) for v in np.geomspace(lo, hi, n)]
     values = [float(v) for v in text.split(",") if v.strip()]
     if not values:
         raise ValueError(f"list must hold at least one value (got {text!r})")

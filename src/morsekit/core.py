@@ -406,8 +406,8 @@ def sample_wavelet(
     SampledWaveform
         n complex samples on times (arange(n) - n//2) * dt.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive (got {scale})")
+    if not 0 < scale < math.inf:  # nan included
+        raise ValueError(f"scale must be positive and finite (got {scale})")
     if n < 16:
         raise ValueError(f"need at least 16 samples (got {n})")
     if not 0 < dt < math.inf:  # nan included

@@ -289,7 +289,7 @@ def quadrature_integral(
     Raises QuadratureError if the sums still disagree after 10 halvings,
     if the end nodes carry more than ``rtol`` of the sum (the integrand
     does not decay), or if ``f`` is not finite at a node.  This is the
-    test oracle for the closed forms and for the fixed-node rules in
+    test oracle for the closed forms and for the trapezoid rules in
     `superfamily`; no CLI command calls it.
     """
     if full_line and hard_upper is not None:

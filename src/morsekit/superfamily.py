@@ -9,14 +9,15 @@ wavelets sit outside the family; the Bessel wavelet is nevertheless
 approximated to alpha^2 ~ 0.9995 near (beta, gamma) = (22, 1/10), which
 `bessel_fit` recovers by grid search plus pattern-search refinement (compass
 and diagonal moves).  The fit scores whole rows of the grid at once with
-closed-form self-energies and a fixed-node trapezoid in ln(omega) for the
-cross integral; `_morse_rho_sq` scores Gaussian similarity the same way on
-a whole grid, and `_morlet_area_and_rho_sq` gives the Morlet's area and
-similarity from Gaussian integrals in closed form.  The Morlet's peak
-frequency, and its nu at a given duration, are roots of monotone functions
-found by the array bisection `core._bisect`.  The double-exponential
-quadrature behind `similarity_alpha_sq` and `gaussianity_rho_sq`
-(`props.quadrature_integral`) stays the independent oracle.
+closed-form self-energies and a trapezoid in ln(omega) for the cross
+integral, whose step each member halves until two successive sums agree;
+`_morse_rho_sq` scores Gaussian similarity the same way on a whole grid,
+and `_morlet_area_and_rho_sq` gives the Morlet's area and similarity from
+Gaussian integrals in closed form.  The Morlet's peak frequency, and its
+nu at a given duration, are roots of monotone functions found by the array
+bisection `core._bisect`.  The double-exponential quadrature behind
+`similarity_alpha_sq` and `gaussianity_rho_sq` (`props.quadrature_integral`)
+stays the independent oracle.
 Growing beta at fixed gamma shrinks the relative bandwidth
 sigma_omega/omega_peak toward zero, so in that corner the members tend to
 pure complex exponentials (a diagnostic, not a constructible member).
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.special import erf, k1
 
 from .core import MorseParams, _bisect, _rescaled_log_shape, duration, eval_rescaled_spectrum
-from .props import _log_gengamma_integral, quadrature_integral
+from .props import QuadratureError, _log_gengamma_integral, quadrature_integral
 
 __all__ = [
     "MorletParams",
@@ -120,8 +121,9 @@ class BesselFitGrid:
     n_gamma: int = 100
 
     def __post_init__(self):
-        if min(self.beta_lo, self.gamma_lo) <= 0:
-            raise ValueError("grid bounds must be positive")
+        bounds = (self.beta_lo, self.beta_hi, self.gamma_lo, self.gamma_hi)
+        if not all(0 < v < math.inf for v in bounds):  # nan included
+            raise ValueError(f"grid bounds must be finite and positive (got {bounds})")
         if self.beta_hi <= self.beta_lo or self.gamma_hi <= self.gamma_lo:
             raise ValueError("grid bounds must be increasing")
         if min(self.n_beta, self.n_gamma) < 2:
@@ -487,43 +489,65 @@ def gaussianity_rho_sq(w: NamedWavelet) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Fixed-node rules.  The cross integrals behind alpha^2 and rho^2 are
-# trapezoid sums in u = ln w on uniform nodes, with the integrand formed as
-# exp(ln S_m + ln S_other + u); the rule converges geometrically for these
-# smooth integrands, which decay at both ends of the window (Trefethen and
-# Weideman, SIAM Review 56, 2014).  The self-energies are closed forms.
+# Self-sizing rules.  The cross integrals behind alpha^2 and rho^2 are
+# trapezoid sums in u = ln w of exp(ln S_m + ln S_other + u).  The rule
+# converges geometrically for these smooth integrands, which decay at both
+# ends of the window (Trefethen and Weideman, SIAM Review 56, 2014), so two
+# successive sums bound its error.  The self-energies are closed forms.
 
-_MIN_NODES = 2001
-# node spacing at most a quarter of the narrowest feature of the rescaled
-# Morse spectrum in u: its bump is about 1/P wide (P = sqrt(beta*gamma))
-# and its upper flank falls over about 1/gamma
-_NODES_PER_WIDTH = 4.0
+_FIRST_STEP = 0.125  # node spacing in u at the first level
+_RTOL = 1e-10
+_HALVINGS = 12
 # integrand values held at once (2 MB): narrow spectra need many nodes,
 # and a long row times many nodes would otherwise take GBs
 _TRAPEZOID_BLOCK = 1 << 18
 
 
-def _node_count(sharpness: float, u_lo: float, u_hi: float) -> int:
-    """Nodes resolving features 1/sharpness wide in u over [u_lo, u_hi]."""
-    return max(
-        _MIN_NODES, math.ceil(_NODES_PER_WIDTH * sharpness * (u_hi - u_lo)) + 1
-    )
+def _log_trapezoid(log_integrand, n_cells: int, u_lo: float, u_hi: float):
+    """ln of the integral of exp(log_integrand(cells, u)) over u in
+    [u_lo, u_hi] (u_lo < 0 < u_hi) for each of n_cells cells, where
+    ``log_integrand`` maps an index array of cells and the nodes u to a
+    (cells, nodes) array.
 
-
-def _log_trapezoid(log_integrand, n_cells: int, n_nodes: int, du: float):
-    """ln of du times the sum of exp(log_integrand(cells)) over the nodes,
-    for each of n_cells cells.  ``log_integrand`` maps a slice of the cells
-    to their (cells, nodes) log integrand; the cells are taken in blocks of
-    at most _TRAPEZOID_BLOCK values.  The plain sum times du is the
-    trapezoid rule because the integrand is negligible at both end nodes.
+    The nodes are the multiples of a step h in the window.  So u = 0, where
+    every spectrum here peaks, is a node on every level, and a bump
+    narrower than h makes successive sums differ by about 2x rather than
+    agree by accident.  From h = 1/8 the step is halved, evaluating only
+    the new odd nodes, until a cell's sum and its sum on every other node
+    agree to _RTOL.  Each cell stops at its own level, so its value does
+    not depend on which cells share the call.  Each level's new nodes are
+    taken in blocks of at most _TRAPEZOID_BLOCK values.  Raises
+    QuadratureError if a cell has not converged after _HALVINGS halvings.
     """
-    chunk = max(1, _TRAPEZOID_BLOCK // n_nodes)
-    sums = []
-    for i in range(0, n_cells, chunk):
-        with np.errstate(over="ignore", under="ignore"):
-            integrand = np.exp(log_integrand(slice(i, i + chunk)))
-        sums.append(integrand.sum(axis=-1))
-    return np.log(du * np.concatenate(sums))
+
+    def sums(cells, u):
+        chunk = max(1, _TRAPEZOID_BLOCK // max(u.size, 1))  # a level may add no node
+        parts = []
+        for i in range(0, cells.size, chunk):
+            with np.errstate(over="ignore", under="ignore"):
+                integrand = np.exp(log_integrand(cells[i : i + chunk], u))
+            parts.append(integrand.sum(axis=-1))
+        return np.concatenate(parts)
+
+    h = _FIRST_STEP
+    cells = np.arange(n_cells)
+    u = h * np.arange(math.ceil(u_lo / h), math.floor(u_hi / h) + 1)
+    total = h * sums(cells, u)
+    for _ in range(_HALVINGS):
+        # the new nodes are the odd multiples of the halved step
+        h *= 0.5
+        u = h * np.arange(math.ceil(u_lo / h) | 1, math.floor(u_hi / h) + 1, 2)
+        previous = total[cells]
+        total[cells] = fine = 0.5 * previous + h * sums(cells, u)
+        unconverged = ~(np.abs(fine - previous) <= _RTOL * fine)  # nan included
+        previous, cells = previous[unconverged], cells[unconverged]
+        if cells.size == 0:
+            return np.log(total)
+    raise QuadratureError(
+        f"trapezoid rule in ln w: no convergence after {_HALVINGS} halvings in "
+        f"{cells.size} of {n_cells} cells; the last two sums of the first are "
+        f"{previous[0]:.12e} and {total[cells[0]]:.12e}"
+    )
 
 
 def _log_rescaled_energy(b, g):
@@ -557,46 +581,27 @@ _BESSEL_LOG_LO, _BESSEL_LOG_HI = math.log(1e-3), math.log(60.0)
 _LOG_E_BESSEL = math.log(8.0 * k1(4.0)) + 4.0
 
 
-@functools.lru_cache(maxsize=8)
-def _bessel_rule(n_nodes: int):
-    """Uniform nodes u over the window, their spacing, and ln of the
-    Bessel factor times the Jacobian w and the Morse peak value 2
-    (read-only arrays, shared between calls)."""
-    u, du = np.linspace(_BESSEL_LOG_LO, _BESSEL_LOG_HI, n_nodes, retstep=True)
-    w = np.exp(u)
-    log_kernel = math.log(4.0) + 2.0 - w - 1.0 / w + u
-    u.flags.writeable = log_kernel.flags.writeable = False
-    return u, du, log_kernel
-
-
-def _bessel_alpha_sq(betas, gammas, corner=None):
+def _bessel_alpha_sq(betas, gammas):
     """alpha^2 between the peak-rescaled Morse spectra (betas, gammas),
     broadcast against each other, and the Bessel spectrum.
 
     Both self-energies are closed form (`_log_rescaled_energy`, and
     8 e^4 K_1(4) for the Bessel).  The cross integral is `_log_trapezoid`
-    on uniform nodes in u = ln w over [1e-3, 60].  The node spacing
-    resolves the narrowest spectrum up to ``corner`` = (beta, gamma), by
-    default the largest beta and gamma among the inputs, with at least
-    2001 nodes; a fit passes its box's corner so that all its points share
-    one rule.  Agrees with the double-exponential oracle
-    `similarity_alpha_sq` to about 1e-12.
+    in u = ln w over [1e-3, 60], which halves each (beta, gamma)'s step
+    until two successive sums agree, so a row call equals the scalar
+    calls.  Agrees with the double-exponential oracle `similarity_alpha_sq`
+    to about 1e-12.
     """
     b, g, shape, scalar = _flat_pairs(betas, gammas)
-    beta_max, gamma_max = corner if corner is not None else (b.max(), g.max())
-    sharpness = max(math.sqrt(beta_max * gamma_max), gamma_max)
-    n_nodes = _node_count(sharpness, _BESSEL_LOG_LO, _BESSEL_LOG_HI)
-    u, du, log_kernel = _bessel_rule(n_nodes)
-
     log_cross = _log_trapezoid(
-        lambda s: _rescaled_log_shape(b[s, None], g[s, None], u) + log_kernel,
+        lambda cells, u: _rescaled_log_shape(b[cells, None], g[cells, None], u)
+        + (math.log(4.0) + 2.0 + u - 2.0 * np.cosh(u)),  # 2 cosh u = w + 1/w
         b.size,
-        n_nodes,
-        du,
+        _BESSEL_LOG_LO,
+        _BESSEL_LOG_HI,
     )
-    log_e_morse = _log_rescaled_energy(b, g)
-    out = np.exp(2.0 * log_cross - log_e_morse - _LOG_E_BESSEL).reshape(shape)
-    return float(out[0]) if scalar else out
+    out = np.exp(2.0 * log_cross - _log_rescaled_energy(b, g) - _LOG_E_BESSEL)
+    return float(out[0]) if scalar else out.reshape(shape)
 
 
 # the rho^2 window drops integrand values below this (the integrals are
@@ -612,13 +617,13 @@ def _morse_rho_sq(betas, gammas):
     (P = sqrt(beta*gamma)).  Both self-energies are closed form: the Morse
     one from `_log_rescaled_energy`, the bell's over (0, inf)
     2 sqrt(pi) (1 + erf P) / P.  The cross integral is `_log_trapezoid` in
-    u = ln w on one rule for all the members.  Its integrand is at most
-    4 exp((1 + beta) u + beta/gamma) below the peak, since both factors
-    are at most 2 and S_m <= 2 w**beta e**(beta/gamma), so the window's
-    lower end is set by the smallest beta; above the peak it is at most
-    4 exp(u - P^2 (w - 1)^2 / 2), so the upper end is set by the smallest
-    P.  The nodes resolve the largest P and gamma, as in `_bessel_alpha_sq`.
-    On the default `curves` grid this agrees with mpmath to about 3e-15.
+    u = ln w on one window for all the members, each halving its own step.
+    Its integrand is at most 4 exp((1 + beta) u + beta/gamma) below the
+    peak, since both factors are at most 2 and S_m <= 2 w**beta
+    e**(beta/gamma), so the window's lower end is set by the smallest beta;
+    above the peak it is at most 4 exp(u - P^2 (w - 1)^2 / 2), so the upper
+    end is set by the smallest P.  On the default `curves` grid this agrees
+    with mpmath to about 3e-15.
     """
     b, g, shape, scalar = _flat_pairs(betas, gammas)
     p_dur = np.sqrt(b * g)
@@ -626,24 +631,16 @@ def _morse_rho_sq(betas, gammas):
     u_lo = float(np.min((_LOG_RHO_TAIL - b / g) / (1.0 + b)))
     # w - 1 = sqrt(L/rate) + 1/rate gives rate (w - 1)^2 - ln w >= L = -tail
     u_hi = float(np.max(np.log1p(np.sqrt(-_LOG_RHO_TAIL / rate) + 1.0 / rate)))
-    n_nodes = _node_count(max(float(p_dur.max()), float(g.max())), u_lo, u_hi)
-    u, du = np.linspace(u_lo, u_hi, n_nodes, retstep=True)
-    w = np.exp(u)
-    bell_shape = -((w - 1.0) ** 2)
-    log_kernel = math.log(4.0) + u
-
     log_cross = _log_trapezoid(
-        lambda s: _rescaled_log_shape(b[s, None], g[s, None], u)
-        + rate[s, None] * bell_shape
-        + log_kernel,
+        lambda cells, u: _rescaled_log_shape(b[cells, None], g[cells, None], u)
+        + (math.log(4.0) + u - rate[cells, None] * np.expm1(u) ** 2),
         b.size,
-        n_nodes,
-        du,
+        u_lo,
+        u_hi,
     )
     log_e_bell = np.log(2.0 * math.sqrt(math.pi) * (1.0 + erf(p_dur)) / p_dur)
-    log_e_morse = _log_rescaled_energy(b, g)
-    out = np.exp(2.0 * log_cross - log_e_morse - log_e_bell).reshape(shape)
-    return float(out[0]) if scalar else out
+    out = np.exp(2.0 * log_cross - _log_rescaled_energy(b, g) - log_e_bell)
+    return float(out[0]) if scalar else out.reshape(shape)
 
 
 # compass moves, then diagonal ones: along the ridge beta*gamma ~ 2.2 (the
@@ -667,21 +664,21 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
     row-major order, then the refinement path.
 
     alpha^2 comes from `_bessel_alpha_sq`: closed-form self-energies and a
-    fixed-node trapezoid in ln w for the cross integral, evaluated one
-    beta row of the grid at a time, with nodes sized for the narrowest
-    spectrum in the box.  The double-exponential quadrature behind
-    `similarity_alpha_sq` is the oracle the tests hold it to.
+    trapezoid in ln w for the cross integral, evaluated one beta row of the
+    grid at a time.  Each point halves its own step until two successive
+    sums agree, so a row scores its points as single calls would.  The
+    double-exponential quadrature behind `similarity_alpha_sq` is the
+    oracle the tests hold it to.
     """
     if grid is None:
         grid = BesselFitGrid()
-    corner = (grid.beta_hi, grid.gamma_hi)
 
     betas = np.geomspace(grid.beta_lo, grid.beta_hi, grid.n_beta)
     gammas = np.geomspace(grid.gamma_lo, grid.gamma_hi, grid.n_gamma)
     trace = []
     best = (-1.0, grid.beta_lo, grid.gamma_lo)
     for b in betas:
-        row = _bessel_alpha_sq(b, gammas, corner)
+        row = _bessel_alpha_sq(b, gammas)
         for g, a2 in zip(gammas, row):
             trace.append((float(b), float(g), float(a2)))
             if a2 > best[0]:
@@ -705,7 +702,7 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
             if np.array_equal(cand, x):
                 continue
             b, g = float(np.exp(cand[0])), float(np.exp(cand[1]))
-            a2 = _bessel_alpha_sq(b, g, corner)
+            a2 = _bessel_alpha_sq(b, g)
             trace.append((b, g, a2))
             if a2 > fx:
                 x, fx = cand, a2

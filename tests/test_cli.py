@@ -620,6 +620,128 @@ class TestBesselfitAndLimits:
         dev = float(out.strip().splitlines()[-1].split(",")[2])
         assert dev < 0.02
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning may reach stderr
+    @pytest.mark.parametrize("flag, text", [("--beta", "1:inf:4"), ("--gamma", "0.05:nan:4")])
+    def test_besselfit_non_finite_bound_rejected_before_fitting(
+        self, tmp_path, capsys, monkeypatch, flag, text
+    ):
+        monkeypatch.setattr(
+            "morsekit.cli.bessel_fit", lambda grid: pytest.fail("the fit started")
+        )
+        ranges = {"--beta": "1:50:4", "--gamma": "0.05:0.2:4", flag: text}
+        out = tmp_path / "fit.csv"
+        argv = [v for item in ranges.items() for v in item]
+        assert run("besselfit", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: bad range {text!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_besselfit_trace_file(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"fit.{fmt}"
+        argv = ["--beta", "15:30:3", "--gamma", "0.05:0.2:4", "--format", fmt]
+        assert run("besselfit", *argv, "--out", str(out)) == 0
+        line = capsys.readouterr().out
+        if fmt == "csv":
+            comments = [ln for ln in out.read_text().splitlines() if ln.startswith("# ")]
+            meta = dict(ln[2:].split("=", 1) for ln in comments[1:])
+            _, rows = _read_csv(out)
+            rows = [[float(v) for v in row] for row in rows]
+        else:
+            payload = json.loads(out.read_text())
+            assert payload["columns"] == ["beta", "gamma", "alpha_sq"]
+            meta = {k: _fmt(v) for k, v in payload["meta"].items()}
+            rows = payload["rows"]
+        assert line == (
+            f"best beta={meta['best_beta']} gamma={meta['best_gamma']} "
+            f"alpha_sq={meta['best_alpha_sq']} ({len(rows)} evaluations)\n"
+        )
+        # the coarse grid first, row-major (beta outer), then the refinement
+        betas, gammas = np.geomspace(15.0, 30.0, 3), np.geomspace(0.05, 0.2, 4)
+        assert [row[:2] for row in rows[:12]] == [[b, g] for b in betas for g in gammas]
+        assert len(rows) > 12
+        assert float(meta["best_alpha_sq"]) == max(row[2] for row in rows)
+
+
+class TestInputParsing:
+    """The signal-file reader and the range parsers, each error case by
+    its exit status and its one error line."""
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("# dt=0.5\n\n1\n  \n2,0.5\n3\n", None),  # blank lines skipped
+            ("# dt=abc\n1\n2\n", "line 1: bad dt header 'dt=abc'"),
+            (
+                "1\n1 2 3\n",
+                "line 2: could not parse '1 2 3': "
+                "expected 1 (real) or 2 (real imag) columns",
+            ),
+            ("# dt=1\n\n5\n\n", "signal file holds fewer than 2 samples"),
+        ],
+    )
+    def test_read_signal_file(self, tmp_path, capsys, body, error):
+        path = tmp_path / "signal.txt"
+        path.write_text(body)
+        if error is None:
+            sig = CLI._read_signal_file(path)
+            assert sig.dt == 0.5
+            assert sig.samples.tolist() == [1, 2 + 0.5j, 3]
+            return
+        out = tmp_path / "cwt.csv"
+        assert run("cwt", "--signal", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("0.1:1:3", None),
+            ("0.1:1", "range must be lo:hi:count (got '0.1:1')"),
+            ("0.1:1:3:4", "range must be lo:hi:count (got '0.1:1:3:4')"),
+            ("0.1:1:1", "bad range '0.1:1:1'"),
+            ("1:0.1:3", "bad range '1:0.1:3'"),
+            ("0.1:inf:3", "bad range '0.1:inf:3'"),
+            ("nan:1:3", "bad range 'nan:1:3'"),
+            ("0:1:3", "bad range '0:1:3'"),
+            ("-1:1:3", "bad range '-1:1:3'"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")  # no numpy warning may reach stderr
+    def test_parse_list_or_range(self, tmp_path, capsys, text, error):
+        out = tmp_path / "lim.csv"
+        rc = run("limits", f"--gamma={text}", "--out", str(out))
+        if error is None:
+            assert rc == 0
+            _, rows = _read_csv(out)
+            assert [float(row[0]) for row in rows] == np.geomspace(0.1, 1.0, 3).tolist()
+            return
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("2:0.5:3", None),
+            ("2:3", "pgrid must be start:step:stop (got '2:3')"),
+            ("2:0.5:3:4", "pgrid must be start:step:stop (got '2:0.5:3:4')"),
+            ("2:0:3", "bad pgrid '2:0:3'"),
+            ("2:-0.5:3", "bad pgrid '2:-0.5:3'"),
+            ("3:0.5:2", "bad pgrid '3:0.5:2'"),
+        ],
+    )
+    def test_parse_pgrid(self, tmp_path, capsys, text, error):
+        out = tmp_path / "curves.csv"
+        rc = run("curves", "--pgrid", text, "--gamma", "3", "--out", str(out))
+        if error is None:
+            assert rc == 0
+            _, rows = _read_csv(out)
+            assert [float(row[0]) for row in rows] == [2.0, 2.5, 3.0]
+            return
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
 
 class TestCsvContract:
     def test_config_comment_and_header(self, tmp_path):

@@ -409,6 +409,9 @@ class TestSampleWavelet:
             sample_wavelet(MorseParams(3, 3), 1.0, 8, 0.1)
         with pytest.raises(ValueError):
             sample_wavelet(MorseParams(3, 3), -1.0, 64, 0.1)
+        for scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^scale must be positive and finite \(got "):
+                sample_wavelet(MorseParams(3, 3), scale, 64, 0.1)
         with pytest.raises(ValueError):
             sample_wavelet(MorseParams(3, 3), 1.0, 64, 0.0)
 

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import morlet_sigma_omega_closed_form, morlet_sigma_t_closed_form
 from morsekit.core import MorseParams, eval_spectrum
-from morsekit.props import quadrature_moment
+from morsekit.props import QuadratureError, quadrature_moment
 from morsekit.superfamily import (
     BesselFitGrid,
     MorletParams,
@@ -424,10 +424,18 @@ class TestBesselFit:
         with pytest.raises(ValueError):
             BesselFitGrid(gamma_lo=0.5, gamma_hi=0.2)
 
+    @pytest.mark.parametrize(
+        "bound", [{"beta_lo": math.nan}, {"beta_hi": math.nan}, {"beta_hi": math.inf},
+                  {"gamma_lo": math.nan}, {"gamma_hi": math.inf}]
+    )
+    def test_grid_bounds_must_be_finite(self, bound):
+        with pytest.raises(ValueError, match=r"^grid bounds must be finite and positive \(got "):
+            BesselFitGrid(**bound)
+
 
 class TestBesselAlphaSqRule:
-    """The fixed-node rule inside bessel_fit against the double-exponential
-    oracle."""
+    """The self-sizing trapezoid rule inside bessel_fit against the
+    double-exponential oracle."""
 
     @staticmethod
     def oracle(beta, gamma):
@@ -447,8 +455,8 @@ class TestBesselAlphaSqRule:
 
     @pytest.mark.parametrize("beta, gamma", [(5000.0, 20.0), (50.0, 200.0)])
     def test_matches_oracle_on_narrow_spectra(self, beta, gamma):
-        # P = 316, and a gamma = 200 upper flank: 2001 nodes leave errors of
-        # 9e-6 and 2e-10 here, so the node count must grow with the box
+        # P = 316, and a gamma = 200 upper flank: 2001 evenly spaced nodes
+        # leave errors of 9e-6 and 2e-10 here, so the rule must halve past them
         assert abs(_bessel_alpha_sq(beta, gamma) - self.oracle(beta, gamma)) <= 1e-10
 
     # the ridge's best point and two corners of the default box; at
@@ -460,15 +468,34 @@ class TestBesselAlphaSqRule:
         want = _mpmath_similarity(_mp_morse(beta, gamma), bessel, _HALF_LINE)
         assert abs(_bessel_alpha_sq(beta, gamma) - want) <= 1e-11
 
-    @pytest.mark.parametrize("corner", [None, (5000.0, 20.0)])
-    def test_row_call_equals_scalar_calls(self, corner):
-        # the (5000, 20) corner needs 13900 nodes, so the row of 40 is
-        # evaluated in blocks of 18
-        gammas = np.geomspace(0.02, 2.0, 40)
-        row = _bessel_alpha_sq(22.0, gammas, corner)
+    def test_row_call_equals_scalar_calls(self, monkeypatch):
+        # at beta = 5000 the spectra narrow as gamma grows, so the cells stop
+        # after different numbers of halvings
+        gammas = np.geomspace(0.02, 20.0, 40)
+        row = _bessel_alpha_sq(5000.0, gammas)
         assert row.shape == gammas.shape
+        evaluations = []
+        log_shape = superfamily._rescaled_log_shape
+
+        def counting(*args):
+            out = log_shape(*args)
+            evaluations[-1] += out.size
+            return out
+
+        monkeypatch.setattr(superfamily, "_rescaled_log_shape", counting)
         for g, a2 in zip(gammas, row):
-            assert abs(_bessel_alpha_sq(22.0, float(g), corner) - a2) <= 1e-15
+            evaluations.append(0)
+            assert abs(_bessel_alpha_sq(5000.0, float(g)) - a2) <= 1e-15
+        assert len(set(evaluations)) >= 5, evaluations
+
+    @pytest.mark.parametrize("rule", [_bessel_alpha_sq, _morse_rho_sq])
+    def test_spectrum_narrower_than_the_finest_level_raises(self, rule):
+        # P = 4.5e6: the bump is 2e-7 wide in ln w, against a finest step of
+        # 3e-5, so only the node at the peak sees it and each halving halves
+        # the sum; a row with a narrow cell raises as a whole
+        for betas in (1e12, [22.0, 1e12]):
+            with pytest.raises(QuadratureError, match="no convergence after 12 halvings"):
+                rule(betas, 20.0)
 
 
 class TestMorseRhoSqRule:
