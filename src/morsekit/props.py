@@ -5,7 +5,9 @@ Closed forms come from the generalized-gamma integral
     int_0^inf w**q exp(-2 w**gamma) dw = Gamma((q+1)/gamma) /
                                          (gamma * 2**((q+1)/gamma))
 
-evaluated through log-gamma, once, as kernels on raw (beta, gamma) arrays
+taken as ratios to the zeroth moment, whose log-gamma differences come from
+one Stirling-difference kernel (`_log_gamma_ratio`) that never forms the
+r ln r terms that cancel.  The kernels act on raw (beta, gamma) arrays
 that broadcast over a whole grid of the parameter plane; the MorseParams
 functions wrap them.  An independent quadrature oracle
 (`quadrature_moment`, `quadrature_integral`) checks every closed form; no
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import MorseParams, log_amplitude_constant, peak_frequency
 
@@ -70,16 +71,95 @@ class MomentTable:
     m: dict[int, float] = field(default_factory=dict)
 
 
-def _log_gengamma_integral(gamma, q):
-    """ln of int_0^inf w**q exp(-2 w**gamma) dw; requires q > -1.
-
-    Takes numbers, or arrays of gamma and q that broadcast (whole rows of
-    the parameter plane).
-    """
+def _log_gengamma_integral(gamma: float, q: float) -> float:
+    """ln of int_0^inf w**q exp(-2 w**gamma) dw; requires q > -1."""
     r = (q + 1.0) / gamma
-    if np.any(r <= 0):
+    if r <= 0:
         raise ValueError(f"divergent integral: needs exponent q > -1 (got q={q})")
-    return gammaln(r) - np.log(gamma) - r * math.log(2.0)
+    return math.lgamma(r) - math.log(gamma) - r * math.log(2.0)
+
+
+# Stirling's series ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + tail(z),
+# tail(z) ~ sum_k B_2k / (2k (2k - 1) z**(2k - 1)), to 7 terms: from z = 10
+# on, the first term left out is below 3e-17.
+_STIRLING_FROM = 10
+_STIRLING_COEFFS = (
+    1.0 / 12.0,
+    -1.0 / 360.0,
+    1.0 / 1260.0,
+    -1.0 / 1680.0,
+    1.0 / 1188.0,
+    -691.0 / 360360.0,
+    1.0 / 156.0,
+)
+
+
+def _stirling_tail(z):
+    """tail(z) of Stirling's series, for a number or an array of z >= 10."""
+    zi2 = 1.0 / (z * z)
+    t = zi2 * _STIRLING_COEFFS[-1]
+    for c in _STIRLING_COEFFS[-2:0:-1]:
+        t += c
+        t *= zi2
+    t += _STIRLING_COEFFS[0]
+    t /= z
+    return t
+
+
+def _log_gamma_ratio(r, s):
+    """ln Gamma(r + s) - ln Gamma(r) - s ln r for r > 0 and r + s > 0.
+
+    ``r`` holds one value per cell, an array of the cells' shape, and ``s``
+    the orders on its first axis.  With z = r, this is the Stirling
+    difference
+
+        (z + s - 1/2) log1p(s/z) - s + tail(z + s) - tail(z),
+
+    which has no term of size z ln z, so its error stays a small multiple
+    of s ulp at large r, where a difference of two log-gammas loses
+    digits.  A cell whose r or r + s falls below 10 is shifted to
+    z = r + 10 by the recurrence, which adds s log1p(10/r) -
+    ln prod_k (r + s + k)/(r + k) over k = 0..9.  That log is taken as
+    +-log1p(excess), where the excess over 1 of prod_k (1 + |s|/(min(r,
+    r + s) + k)) grows from nonnegative terms, so it keeps an error
+    relative to s whatever the sign of s.  Per-cell terms (the shift,
+    tail(z), log1p(10/r)) are evaluated once per cell.
+    """
+    low = np.minimum(r, r + s.min(axis=0)) < _STIRLING_FROM
+    shift = np.where(low, _STIRLING_FROM, 0.0)
+    # z on row 0 and z + s below it, so one tail evaluation serves both
+    z = np.empty((len(s) + 1,) + r.shape)
+    np.add(r, shift, out=z[0, ...])
+    np.add(z[0], s, out=z[1:])
+    tail = _stirling_tail(z)
+    out = np.divide(s, z[0])
+    np.log1p(out, out=out)
+    z -= 0.5
+    out *= z[1:]
+    out -= s
+    out += tail[1:]
+    out -= tail[0]
+    shift /= r
+    np.log1p(shift, out=shift)
+    out += np.multiply(s, shift, out=z[1:])
+    if low.any():
+        cells = low.ravel().nonzero()[0]
+        s_low = s.reshape(len(s), -1).take(cells, axis=1)
+        base = np.minimum(s_low, 0.0)
+        base += r.take(cells)  # the smaller of r and r + s
+        step = np.abs(s_low)
+        excess = step / base
+        a, grown = np.empty_like(base), np.empty_like(base)
+        for k in range(1, _STIRLING_FROM):
+            # excess += a (1 + excess) with a = |s|/(base + k)
+            np.add(base, k, out=a)
+            np.divide(step, a, out=a)
+            np.add(excess, 1.0, out=grown)
+            grown *= a
+            excess += grown
+        np.log1p(excess, out=excess)
+        out.reshape(len(s), -1)[:, cells] -= np.copysign(excess, s_low, out=excess)
+    return out
 
 
 def log_energy_moment(p: MorseParams, n: int) -> float:
@@ -104,31 +184,40 @@ def moment_table(p: MorseParams, orders=(0, 1, 2, 3)) -> MomentTable:
 
 
 def _log_moment_ratios(beta, gamma, *orders):
-    """ln of m_n / (m_0 w_p**n) for each order n, stacked on a new last
+    """ln of m_n / (m_0 w_p**n) for each order n, stacked on a new first
     axis: the energy moments m_n = int w**n |Psi|^2 dw relative to m_0, in
     units of the peak frequency.
 
     With r = (2 beta + 1)/gamma and s = n/gamma this is
 
-        ln Gamma(r + s) - ln Gamma(r) - s ln(2 beta/gamma),
+        ln Gamma(r + s) - ln Gamma(r) - s ln(2 beta/gamma)
+            = `_log_gamma_ratio` (r, s) + s log1p(1/(2 beta)),
 
-    since the amplitude constant cancels and w_p**gamma = beta/gamma.  The
-    ratio is representable where m_n/m_0 ~ w_p**n is not (w_p reaches
-    1e150+ at small gamma).  Takes raw (beta, gamma) that broadcast, like
+    since the amplitude constant cancels, w_p**gamma = beta/gamma and
+    r = (2 beta/gamma)(1 + 1/(2 beta)).  No term of size r ln r is formed,
+    so the ratios keep their absolute accuracy at large r.  The ratio is
+    representable where m_n/m_0 ~ w_p**n is not (w_p reaches 1e150+ at
+    small gamma).  Takes raw (beta, gamma) that broadcast, like
     core._rescaled_log_shape, so a whole grid of the parameter plane is one
     call; each order is a number or an array broadcasting with them, and
     must exceed -(2 beta + 1).  Requires beta > 0.
     """
-    b = np.asarray(beta, dtype=float)[..., None]
-    g = np.asarray(gamma, dtype=float)[..., None]
-    r = (2.0 * b + 1.0) / g
-    s = np.stack(np.broadcast_arrays(*orders), axis=-1) / g
-    return gammaln(r + s) - gammaln(r) - s * np.log(2.0 * b / g)
+    b = np.asarray(beta, dtype=float)
+    g = np.asarray(gamma, dtype=float)
+    r = np.empty(np.broadcast(b, g, *orders).shape)
+    np.divide(2.0 * b + 1.0, g, out=r)
+    s = np.empty((len(orders),) + r.shape)
+    for j, n in enumerate(orders):
+        np.divide(n, g, out=s[j, ...])
+    out = _log_gamma_ratio(r, s)
+    s *= np.log1p(0.5 / b)
+    out += s
+    return out
 
 
 def _rescaled_sigma_omega(beta, gamma):
     """sigma_omega / w_p on raw (beta, gamma) arrays; requires beta > 0."""
-    r1, r2 = np.exp(np.moveaxis(_log_moment_ratios(beta, gamma, 1.0, 2.0), -1, 0))
+    r1, r2 = np.exp(_log_moment_ratios(beta, gamma, 1.0, 2.0))
     return np.sqrt(r2 - r1 * r1)
 
 
@@ -147,10 +236,10 @@ def _rescaled_sigma_t(beta, gamma):
     """
     g = np.asarray(gamma, dtype=float)
     logs = _log_moment_ratios(beta, g, -2.0, g - 2.0, 2.0 * g - 2.0)
-    logs[..., 1] += math.log(2.0)
-    top = logs.max(axis=-1)
-    e = np.exp(logs - top[..., None])
-    return beta * np.exp(0.5 * top) * np.sqrt(e[..., 0] - e[..., 1] + e[..., 2])
+    logs[1] += math.log(2.0)
+    top = logs.max(axis=0)
+    e0, e1, e2 = np.exp(logs - top)
+    return beta * np.exp(0.5 * top) * np.sqrt(e0 - e1 + e2)
 
 
 def _heisenberg_area(beta, gamma):
@@ -169,9 +258,7 @@ def _heisenberg_area(beta, gamma):
 
 def _skewness(beta, gamma):
     """Frequency skewness on raw (beta, gamma) arrays; requires beta > 0."""
-    r1, r2, r3 = np.exp(
-        np.moveaxis(_log_moment_ratios(beta, gamma, 1.0, 2.0, 3.0), -1, 0)
-    )
+    r1, r2, r3 = np.exp(_log_moment_ratios(beta, gamma, 1.0, 2.0, 3.0))
     var = r2 - r1 * r1
     return (r3 - 3.0 * r1 * var - r1**3) / var**1.5
 

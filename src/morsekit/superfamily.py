@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, k1
 
 from .core import MorseParams, _bisect, _rescaled_log_shape, duration, eval_rescaled_spectrum
-from .props import QuadratureError, _log_gengamma_integral, quadrature_integral
+from .props import _STIRLING_FROM, QuadratureError, _stirling_tail, quadrature_integral
 
 __all__ = [
     "MorletParams",
@@ -550,17 +549,40 @@ def _log_trapezoid(log_integrand, n_cells: int, u_lo: float, u_hi: float):
     )
 
 
-def _log_rescaled_energy(b, g):
-    """ln int S_m^2 dw of the peak-rescaled Morse spectra (b, g), closed
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_rescaled_energy_one(b: float, g: float) -> float:
+    """ln int S_m^2 dw of one peak-rescaled Morse spectrum (b, g), closed
     form: 4 e^(2 beta/gamma) c**(2 beta + 1) int x**(2 beta) exp(-2 x**gamma)
-    dx with c = (gamma/beta)**(1/gamma)."""
+    dx with c = (gamma/beta)**(1/gamma).
+
+    With r = (2 beta + 1)/gamma and Stirling's ln Gamma(r) = (r - 1/2) ln r
+    - r + ln(2 pi)/2 + tail(r) this is
+
+        ln 4 - 1/gamma - ln gamma + ln(2 pi)/2 - (ln r)/2
+            + r log1p(1/(2 beta)) + tail(r),
+
+    every term O(1) or a log: the terms of size r ln r cancel exactly
+    before any is formed.  tail(r) is Stirling's series from r = 10 on, and
+    math.lgamma below, where none of its terms is large.
+    """
     r = (2.0 * b + 1.0) / g
+    if r < _STIRLING_FROM:
+        tail = math.lgamma(r) - (r - 0.5) * math.log(r) + r - _HALF_LOG_2PI
+    else:
+        tail = _stirling_tail(r)
     return (
-        math.log(4.0)
-        + 2.0 * b / g
-        - r * (np.log(b) - np.log(g))
-        + _log_gengamma_integral(g, 2.0 * b)
+        math.log(4.0) + _HALF_LOG_2PI - 1.0 / g - math.log(g) - 0.5 * math.log(r)
+        + r * math.log1p(0.5 / b) + tail
     )
+
+
+def _log_rescaled_energy(b, g):
+    """`_log_rescaled_energy_one` on 1-d arrays of beta and gamma.  The rules
+    below score one fit point or one grid row per call, so a loop over
+    floats costs less here than a chain of array operations."""
+    return np.fromiter(map(_log_rescaled_energy_one, b.tolist(), g.tolist()), float, len(b))
 
 
 def _flat_pairs(betas, gammas):
@@ -577,8 +599,9 @@ def _flat_pairs(betas, gammas):
 # outside [1e-3, 60] the Bessel factor e^(2 - w - 1/w) is below 1e-26 while
 # the peak-rescaled Morse factor never exceeds 2, whatever (beta, gamma).
 _BESSEL_LOG_LO, _BESSEL_LOG_HI = math.log(1e-3), math.log(60.0)
-# ln int S_b^2 dw = ln(4 e^4 int exp(-2(w + 1/w)) dw) = ln(8 e^4 K_1(4))
-_LOG_E_BESSEL = math.log(8.0 * k1(4.0)) + 4.0
+# ln int S_b^2 dw = ln(4 e^4 int exp(-2(w + 1/w)) dw) = ln(8 e^4 K_1(4)), with
+# K_1(4) = 0.0124834988872684314703... rounded to the nearest double
+_LOG_E_BESSEL = math.log(8.0 * 0.012483498887268432) + 4.0
 
 
 def _bessel_alpha_sq(betas, gammas):
@@ -638,7 +661,8 @@ def _morse_rho_sq(betas, gammas):
         u_lo,
         u_hi,
     )
-    log_e_bell = np.log(2.0 * math.sqrt(math.pi) * (1.0 + erf(p_dur)) / p_dur)
+    erf_p = np.fromiter(map(math.erf, p_dur), float, p_dur.size)
+    log_e_bell = np.log(2.0 * math.sqrt(math.pi) * (1.0 + erf_p) / p_dur)
     out = np.exp(2.0 * log_cross - _log_rescaled_energy(b, g) - log_e_bell)
     return float(out[0]) if scalar else out.reshape(shape)
 

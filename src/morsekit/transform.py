@@ -17,7 +17,9 @@ Fortran-ordered view.  Memory is the output, plus one padded row per
 thread for the non-periodic boundaries (periodic rows are inverted in
 place in the output), plus O(m) per thread for the filter.  The
 coefficients are bitwise those of one full-length filter and one inverse
-FFT per scale, whatever the thread count.
+FFT per scale, whatever the thread count.  The inverse is
+`scipy.fft.ifft`, imported by the first transform: no other part of the
+package needs scipy, so importing it loads no scipy module.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import MorseParams, duration, eval_spectrum, peak_frequency
 
@@ -284,6 +285,7 @@ def transform(
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
+    import scipy.fft
 
     sig = np.asarray(x.samples)
     n = len(sig)

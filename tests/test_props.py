@@ -184,14 +184,14 @@ class TestSkewness:
 def _mpmath_area_and_skewness(beta, gamma):
     """Heisenberg area and frequency skewness from the generalized-gamma
     integrals int w**q exp(-2 w**g) dw = Gamma(r)/(g 2**r), r = (q+1)/g,
-    evaluated in mpmath at 30 digits."""
+    evaluated in mpmath at 40 digits."""
     mpmath = pytest.importorskip("mpmath")
 
     def gengamma(q, g):
         r = (q + 1) / g
         return mpmath.gamma(r) / (g * mpmath.power(2, r))
 
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
         b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
         i0 = gengamma(2 * b, g)
         m1, m2, m3 = (gengamma(2 * b + n, g) / i0 for n in (1, 2, 3))
@@ -205,9 +205,22 @@ def _mpmath_area_and_skewness(beta, gamma):
         return float(mpmath.sqrt(var_t * var_w)), float(skew)
 
 
-# the Airy member, the map's two far corners, and (58.6, 0.32), where the
-# closed forms lose the most digits on the map's default grid
-PINNED_CELLS = [(9.0, 3.0), (0.55, 30.0), (60.0, 0.3), (58.6, 0.32)]
+# the Airy member, the map's two far corners, (58.6, 0.32), where the
+# closed forms lost the most digits on the map's default grid, and
+# (0.501, 0.05), where the order -2 moment of sigma_t has r + s =
+# (2 beta - 1)/gamma near 0
+PINNED_CELLS = [(9.0, 3.0), (0.55, 30.0), (60.0, 0.3), (58.6, 0.32), (0.501, 0.05)]
+
+
+def _map_grid_sample():
+    """(beta, gamma) of the default `map` grid's 4 corners and of 200 of its
+    cells drawn with a fixed seed."""
+    betas = np.geomspace(0.55, 60.0, 200)
+    gammas = np.geomspace(0.3, 30.0, 200)
+    rng = np.random.default_rng(0)
+    cells = [(0, 0), (0, 199), (199, 0), (199, 199)]
+    cells += [tuple(c) for c in rng.integers(0, 200, (200, 2))]
+    return np.array([betas[i] for i, _ in cells]), np.array([gammas[j] for _, j in cells])
 
 
 class TestClosedFormPins:
@@ -217,6 +230,32 @@ class TestClosedFormPins:
         p = MorseParams(b, g)
         assert heisenberg_area(p) == pytest.approx(area, rel=1e-9)
         assert skewness_freq(p) == pytest.approx(skew, rel=1e-9)
+
+    def test_map_grid_sample_matches_mpmath(self):
+        # evaluated as one array call, like the map's
+        b, g = _map_grid_sample()
+        areas = props._heisenberg_area(b, g)
+        skews = props._skewness(b, g)
+        for k, (area, skew) in enumerate(map(_mpmath_area_and_skewness, b, g)):
+            assert areas[k] == pytest.approx(area, rel=1e-11, abs=0), (b[k], g[k])
+            assert abs(skews[k] - skew) <= 5e-10, (b[k], g[k])
+
+    def test_log_moment_ratios_match_mpmath(self):
+        # every order the closed forms use; the error stays a small multiple
+        # of s = n/gamma ulp, also at gamma = 30, where s is 1/30
+        mpmath = pytest.importorskip("mpmath")
+        b, g = _map_grid_sample()
+        orders = (1.0, 2.0, 3.0, -2.0, g - 2.0, 2.0 * g - 2.0)
+        got = props._log_moment_ratios(b, g, *orders)
+        with mpmath.workdps(40):
+            for n, row in zip(orders, got):
+                for beta, gamma, order, value in zip(b, g, np.broadcast_to(n, b.shape), row):
+                    bb, gg = mpmath.mpf(beta), mpmath.mpf(gamma)
+                    r, s = (2 * bb + 1) / gg, mpmath.mpf(order) / gg
+                    want = (mpmath.loggamma(r + s) - mpmath.loggamma(r)
+                            - s * mpmath.log(2 * bb / gg))
+                    err = abs(value - want)
+                    assert err <= 1e-14 and err <= 1e-13 * abs(s), (beta, gamma, order)
 
     @pytest.mark.parametrize("b, g", PINNED_CELLS)
     def test_scalar_wrappers_equal_array_kernels(self, b, g):
@@ -232,7 +271,7 @@ class TestClosedFormPins:
             (sigma_omega(p), props._rescaled_sigma_omega(bb, gg)[1, 1] * wp),
             (
                 mean_frequency(p),
-                math.exp(props._log_moment_ratios(bb, gg, 1.0)[1, 1, 0]) * wp,
+                math.exp(props._log_moment_ratios(bb, gg, 1.0)[0, 1, 1]) * wp,
             ),
         ]
         for scalar, array in pairs:
@@ -307,37 +346,66 @@ class TestDoubleExponentialMaps:
             quadrature_integral(lambda w: w, full_line=True, hard_upper=1.0)
 
 
-def _scipy_solvers_loaded_after(statement: str) -> str:
-    """Which of scipy.integrate and scipy.optimize a fresh interpreter that
-    imports the same morsekit as this one has loaded after ``statement``."""
-    code = (
-        f"import sys, morsekit, morsekit.cli; {statement}; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))"
-    )
+def _run_fresh(statement: str, prelude: str = "") -> str:
+    """Stdout of a fresh interpreter that runs ``prelude``, imports the same
+    morsekit as this one, then runs ``statement``."""
+    code = f"{prelude}import sys, morsekit, morsekit.cli; {statement}"
     env = dict(os.environ, PYTHONPATH=str(Path(props.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=env,
     )
-    return out.stdout.strip().splitlines()[-1]  # after any table on stdout
+    return out.stdout
 
 
-class TestScipySolversUnloaded:
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        assert _scipy_solvers_loaded_after("pass") == "[]"
+def _scipy_loaded_after(statement: str) -> str:
+    """Every scipy module loaded in a fresh interpreter that imports
+    morsekit and then runs ``statement``."""
+    report = "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return _run_fresh(statement + report).strip().splitlines()[-1]  # after any table
 
-    def test_oracle_run_leaves_scipy_integrate_unloaded(self):
+
+# every command but `cwt`, on small grids; `limits` with both targets
+SCIPY_FREE_COMMANDS = {
+    "map": ["map", "--beta", "0.55:60:12", "--gamma", "0.3:30:12"],
+    "gallery": ["gallery", "--beta", "1,3", "--gamma", "3"],
+    # the Morlet columns need a peak solve and a duration inversion
+    "curves": ["curves", "--pgrid", "1:0.5:4", "--gamma", "3"],
+    "props": ["props", "9,3", "60,0.3", "0.4,3"],
+    "besselfit": ["besselfit", "--beta", "1:50:8", "--gamma", "0.02:2:8"],
+    "limits": ["limits", "--target", "lognormal"],
+    "limits-shannon": ["limits", "--target", "shannon", "--gamma", "100"],
+}
+
+
+class TestScipyUnloaded:
+    """Only `cwt` needs scipy: importing morsekit, the quadrature oracle and
+    every other command load no scipy module."""
+
+    def test_import_loads_no_scipy(self):
+        assert _scipy_loaded_after("pass") == "[]"
+
+    def test_oracle_run_loads_no_scipy(self):
         statement = (
             "from morsekit.superfamily import *; "
             "similarity_alpha_sq(bessel_wavelet(), shannon_wavelet())"
         )
-        assert _scipy_solvers_loaded_after(statement) == "[]"
+        assert _scipy_loaded_after(statement) == "[]"
 
-    def test_curves_run_leaves_scipy_optimize_unloaded(self):
-        # the Morlet columns need a peak solve and a duration inversion
-        statement = "morsekit.cli.main(['curves', '--pgrid', '1:0.5:4', '--gamma', '3'])"
-        assert _scipy_solvers_loaded_after(statement) == "[]"
+    @pytest.mark.parametrize("argv", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS)
+    def test_command_loads_no_scipy(self, tmp_path, argv):
+        argv = argv + ["--out", str(tmp_path / "out")]
+        assert _scipy_loaded_after(f"assert morsekit.cli.main({argv!r}) == 0") == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # an import of any scipy module raises ImportError in this interpreter
+        codes = [
+            f"morsekit.cli.main({argv + ['--out', str(tmp_path / name)]!r})"
+            for name, argv in SCIPY_FREE_COMMANDS.items()
+        ]
+        statement = f"print([{', '.join(codes)}])"
+        out = _run_fresh(statement, prelude="import sys; sys.modules['scipy'] = None; ")
+        assert out.strip().splitlines()[-1] == str([0] * len(codes))
 
 
 class TestPropertySummary:

@@ -459,9 +459,8 @@ class TestBesselAlphaSqRule:
         # leave errors of 9e-6 and 2e-10 here, so the rule must halve past them
         assert abs(_bessel_alpha_sq(beta, gamma) - self.oracle(beta, gamma)) <= 1e-10
 
-    # the ridge's best point and two corners of the default box; at
-    # (50, 0.02) the closed-form Morse energy sums log terms of size 4e4,
-    # which leaves about 1e-12 of rounding
+    # the ridge's best point and two corners of the default box, where
+    # r = (2 beta + 1)/gamma reaches 5050
     @pytest.mark.parametrize("beta, gamma", [(22.0, 0.1), (1.0, 2.0), (50.0, 0.02)])
     def test_matches_mpmath(self, beta, gamma):
         bessel = lambda w: 2 * mp.exp(2 - w - 1 / w)
@@ -526,6 +525,47 @@ class TestMorseRhoSqRule:
         row = _morse_rho_sq(0.5**2 / gammas, gammas)
         for g, rho in zip(gammas, row):
             assert _morse_rho_sq(0.25 / g, g) == pytest.approx(rho, abs=1e-14)
+
+
+class TestClosedFormEnergies:
+    """The self-energies behind alpha^2 and rho^2 against mpmath at 40
+    digits, and the constants that replace scipy.special."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0, 0.3])
+    def test_morse_energy_matches_mpmath(self, gamma):
+        # ln 4 + 2 beta/gamma - r ln(beta/gamma) + ln(int x**(2 beta)
+        # exp(-2 x**gamma) dx), from P = 1 to P = 1e4
+        p_dur = np.geomspace(1.0, 1e4, 41)
+        betas = p_dur**2 / gamma
+        got = superfamily._log_rescaled_energy(betas, np.full_like(betas, gamma))
+        with mp.workdps(40):
+            g = mp.mpf(gamma)
+            for b, value in zip(betas, got):
+                b = mp.mpf(b)
+                r = (2 * b + 1) / g
+                want = (mp.log(4) + 2 * b / g - r * mp.log(b / g) + mp.loggamma(r)
+                        - mp.log(g) - r * mp.log(2))
+                assert abs(value - want) <= 1e-13, (float(b), gamma)
+
+    def test_bessel_energy_constant(self):
+        from scipy.special import k1
+
+        via_scipy = math.log(8.0 * k1(4.0)) + 4.0
+        assert abs(superfamily._LOG_E_BESSEL - via_scipy) <= math.ulp(via_scipy)
+        with mp.workdps(40):
+            want = mp.log(8 * mp.besselk(1, 4)) + 4
+        assert abs(superfamily._LOG_E_BESSEL - want) <= math.ulp(want)
+
+    def test_bell_energy_erf(self):
+        # the bell energy takes 1 + erf(P); scipy's erf itself is up to 1.8
+        # ulp from mpmath here (P = 0.86), math.erf within 1
+        from scipy.special import erf
+
+        for p_dur in np.geomspace(1e-3, 50.0, 400):
+            with_math = 1.0 + math.erf(p_dur)
+            assert abs(with_math - (1.0 + erf(p_dur))) <= math.ulp(with_math), p_dur
+            want = mp.erf(mp.mpf(p_dur))
+            assert abs(math.erf(p_dur) - want) <= math.ulp(float(want)), p_dur
 
 
 class TestOracleMatchesMpmath:

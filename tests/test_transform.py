@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from helpers import reference_transform
 
 from morsekit.core import MorseParams, duration, eval_spectrum, peak_frequency
@@ -280,8 +281,9 @@ class TestBlockedTransform:
         short = dataclasses.replace(grid, scales=grid.scales[:2])
         monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
         calls = []
-        ifft = TRANSFORM.scipy.fft.ifft
-        monkeypatch.setattr(TRANSFORM.scipy.fft, "ifft",
+        # transform imports scipy.fft when it runs and looks ifft up on it
+        ifft = scipy.fft.ifft
+        monkeypatch.setattr(scipy.fft, "ifft",
                             lambda a, **kw: calls.append((a.shape, kw["workers"]))
                             or ifft(a, **kw))
         for boundary in ("periodic", "zero", "mirror"):
@@ -392,8 +394,8 @@ class TestRowWorkers:
         grid = scale_grid(n, P93, density=8)
         monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 8)
         calls = []
-        ifft = TRANSFORM.scipy.fft.ifft
-        monkeypatch.setattr(TRANSFORM.scipy.fft, "ifft",
+        ifft = scipy.fft.ifft
+        monkeypatch.setattr(scipy.fft, "ifft",
                             lambda a, **kw: calls.append(1) or ifft(a, **kw))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
