@@ -4,18 +4,21 @@ Bessel-fit results, and limiting-form diagnostics as CSV or JSON.
 
 Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
-undefined cells blank.  One writer serves every command: CSV tables and
-the `cwt` JSON coefficients are written one row at a time, so a run holds
-its results plus one formatted row, never the whole text.
+undefined cells blank.  One writer serves every command: CSV tables are
+written one row at a time, or, for a float array such as the `map` area
+table and the `cwt` coefficients, one block of at most ``_FORMAT_CELLS``
+cells at a time; every float of a block goes through a single repr of a
+list.  A run holds its results plus one formatted block, never the whole
+text.
 
-A `cwt` table of more than one block of rows (``_FORMAT_CELLS`` cells) is
-formatted by forked worker processes, one per CPU the transform's threads
-use: worker k of W formats blocks k, k + W, k + 2W, ... with the same
-``_fmt`` and sends them through its own pipe, and the parent copies the
-blocks to the output in row order, at most 64 KB at a time.  The parent
-then holds one such piece and each worker one block of text; the bytes
-are those of the serial writer.  One block, one CPU, or no ``os.fork``
-writes in-process.
+A `cwt` table (CSV, or each part of the JSON coefficients) of more than
+one block of rows is formatted by forked worker processes, one per CPU
+the transform's threads use: worker k of W formats blocks k, k + W,
+k + 2W, ... with the same block formatter and sends them through its own
+pipe, and the parent copies the blocks to the output in row order, at
+most 64 KB at a time.  The parent then holds one such piece and each
+worker one block of text; the bytes are those of the in-process writer.
+One block, one CPU, or no ``os.fork`` writes in-process.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .transform import SignalBuffer, scale_grid, transform
 # read at call time, so one setting serves the transform and the formatter
 _TRANSFORM = sys.modules[SignalBuffer.__module__]
 
-# cells in one block of `cwt` rows formatted by a worker (about 0.7 MB of
+# cells in one block of rows formatted at once (about 0.7 MB of `cwt`
 # text), and the most the parent reads from a worker's pipe at once
 _FORMAT_CELLS = 1 << 14
 _PIECE_BYTES = 1 << 16
@@ -98,14 +101,12 @@ class RunConfig:
 
 
 def _fmt(v) -> str:
-    """One CSV cell.  Reals print as their shortest round-trip repr
-    ("inf", "-inf" and "nan" included), complex values as re+imj with the
-    sign taken from imag >= 0 (so -0.0 prints as +0.0j), None as blank."""
+    """One real CSV cell.  Floats print as their shortest round-trip repr
+    ("inf", "-inf" and "nan" included), integers as digits, None as blank.
+    Complex `cwt` cells are formatted a block at a time by
+    ``_cwt_csv_block``."""
     if isinstance(v, float):  # np.float64 too: float.__repr__ drops its type
         return float.__repr__(v)
-    if isinstance(v, complex):
-        sign = "+" if v.imag >= 0 else "-"
-        return f"{float.__repr__(v.real)}{sign}{float.__repr__(abs(v.imag))}j"
     if v is None:
         return ""
     if isinstance(v, str):
@@ -136,25 +137,58 @@ def _open_output(path: Path | None):
 
 
 def _write_csv(f, comments, columns, rows):
-    """Comment lines, the column line, then one line per row as it comes."""
+    """Comment lines, the column line, then the rows: a 2-D float ndarray
+    in blocks of at most ``_FORMAT_CELLS`` cells, each block's floats
+    through one repr of its nested list, any other iterable one line per
+    row as it comes.  Both give the bytes of ``_fmt`` on every cell."""
     for line in comments:
         f.write(f"# {line}\n")
     f.write(",".join(columns) + "\n")
+    if isinstance(rows, np.ndarray):
+        per_block = max(1, _FORMAT_CELLS // rows.shape[1])
+        for i in range(0, len(rows), per_block):
+            text = repr(rows[i:i + per_block].tolist())[2:-2]
+            f.write(text.replace("], [", "\n").replace(", ", ",") + "\n")
+        return
     for row in rows:
         f.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _write_lines(f, n_rows: int, row_cells: int, lines):
-    """Write ``lines(i0, i1)``, the text lines of rows i0..i1-1, for every
-    row in order: in-process when the rows fit in one block of
-    ``_FORMAT_CELLS`` cells, when the transform uses one CPU, or without
+def _cwt_csv_block(times, coef) -> str:
+    """The `cwt` CSV lines of rows ``times[k], coef[k, 0], coef[k, 1], ...``.
+
+    Floats print as their shortest round-trip repr and each coefficient as
+    re+imj, with the sign taken from imag >= 0 (so -0.0 prints as +0.0j
+    and nan as -nanj).  Every float of the block goes through one repr of
+    a list, laid out per row as [t, re_0, |im_0|, re_1, |im_1|, ...], and
+    the separators are slotted in between its items."""
+    values = np.empty((coef.shape[0], 2 * coef.shape[1] + 1))
+    values[:, 0] = times
+    values[:, 1::2] = coef.real
+    values[:, 2::2] = np.abs(coef.imag)
+    seps = np.empty(values.shape, dtype=object)
+    seps[:, 0] = ","
+    seps[:, 1::2] = np.where(coef.imag >= 0, "+", "-")
+    seps[:, 2::2] = "j,"
+    seps[:, -1] = "j\n"
+    text = [""] * (2 * values.size)
+    text[::2] = repr(values.ravel().tolist())[1:-1].split(", ")
+    text[1::2] = seps.ravel().tolist()
+    return "".join(text)
+
+
+def _write_lines(f, n_rows: int, row_cells: int, block):
+    """Write ``block(i0, i1)``, the text of rows i0..i1-1, for blocks of
+    at most ``_FORMAT_CELLS`` cells in row order: in-process when the rows
+    fit in one block, when the transform uses one CPU, or without
     ``os.fork``; else formatted by forked workers, block b by worker
     b mod W, and copied from their pipes in row order."""
     per_block = max(1, _FORMAT_CELLS // row_cells)
     blocks = [(i, min(i + per_block, n_rows)) for i in range(0, n_rows, per_block)]
     workers = min(_TRANSFORM._FFT_WORKERS, len(blocks))
     if workers < 2 or not hasattr(os, "fork"):
-        f.writelines(lines(0, n_rows))
+        for i0, i1 in blocks:
+            f.write(block(i0, i1))
         return
     pids, reads = [], []
     try:
@@ -164,7 +198,7 @@ def _write_lines(f, n_rows: int, row_cells: int, lines):
             try:
                 pid = _fork()
                 if pid == 0:
-                    _format_blocks(w, reads, blocks[k::workers], lines)
+                    _format_blocks(w, reads, blocks[k::workers], block)
                 pids.append(pid)
             finally:
                 os.close(w)
@@ -189,9 +223,10 @@ def _fork() -> int:
     # The parent may have threads (numpy's BLAS pool), so Python 3.12+
     # warns that fork may deadlock the child.  `transform` starts no
     # pocketfft pool, and its own row threads are joined before it returns,
-    # so none runs when `cwt` forks.  The child only formats Python floats,
-    # writes to its pipe and leaves through os._exit; it takes no lock a
-    # thread may hold, and the BLAS pool re-arms through its own
+    # so none runs when `cwt` forks.  The child only copies blocks of
+    # coefficients with elementwise numpy calls (no BLAS), formats their
+    # floats, writes to its pipe and leaves through os._exit; it takes no
+    # lock a thread may hold, and the BLAS pool re-arms through its own
     # pthread_atfork handler.
     with warnings.catch_warnings():
         warnings.filterwarnings(
@@ -200,7 +235,7 @@ def _fork() -> int:
         return os.fork()
 
 
-def _format_blocks(w: int, reads, blocks, lines):
+def _format_blocks(w: int, reads, blocks, block):
     """A worker's whole life: each block's text, or the first error, as a
     length-prefixed record on pipe ``w`` (an error's length negative).  It
     leaves only through os._exit, so it never runs the parent's atexit
@@ -211,7 +246,7 @@ def _format_blocks(w: int, reads, blocks, lines):
             os.close(r)
         try:
             for i0, i1 in blocks:
-                _write_record(w, "".join(lines(i0, i1)).encode("ascii"), 1)
+                _write_record(w, block(i0, i1).encode("ascii"), 1)
             code = 0
         except Exception as exc:
             payload = pickle.dumps(exc)
@@ -339,7 +374,7 @@ def cmd_map(cfg: RunConfig) -> int:
         cfg,
         "heisenberg_map",
         ("beta", "gamma", "heisenberg_area"),
-        zip(b_grid.ravel().tolist(), g_grid.ravel().tolist(), areas.ravel().tolist()),
+        np.column_stack((b_grid.ravel(), g_grid.ravel(), areas.ravel())),
     )
 
     sk_rows = _zero_skewness_rows(betas, min(gammas), max(gammas))
@@ -555,7 +590,7 @@ def cmd_cwt(cfg: RunConfig) -> int:
             f.write(head[:-1])
             for key, part in (("real", coef.real), ("imag", coef.imag)):
                 f.write(f', "{key}": [')
-                _write_lines(f, len(part), part.shape[1], lambda i0, i1: (
+                _write_lines(f, len(part), part.shape[1], lambda i0, i1: "".join(
                     (", " if i else "") + json.dumps(row.tolist())
                     for i, row in enumerate(part[i0:i1], i0)
                 ))
@@ -568,13 +603,11 @@ def cmd_cwt(cfg: RunConfig) -> int:
         f"dt={_fmt(sig.dt)} normalization={res.normalization} boundary={res.boundary}",
     ]
     columns = ["t"] + [f"scale={_fmt(s)}" for s in grid.scales.tolist()]
-    times = (np.arange(coef.shape[0]) * sig.dt).tolist()
+    times = np.arange(coef.shape[0]) * sig.dt
     with _open_output(_out_file(cfg, "cwt")) as f:
         _write_csv(f, comments, columns, ())
-        # the lines _write_csv would write for these rows
-        _write_lines(f, len(coef), len(columns), lambda i0, i1: (
-            ",".join(map(_fmt, [t] + row.tolist())) + "\n"
-            for t, row in zip(times[i0:i1], coef[i0:i1])
+        _write_lines(f, len(coef), len(columns), lambda i0, i1: _cwt_csv_block(
+            times[i0:i1], coef[i0:i1]
         ))
     return 0
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -543,12 +544,14 @@ class TestCwtWorkers:
         monkeypatch.setattr(CLI, "_FORMAT_CELLS", 1000)
         monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
 
-        def fmt(v):
-            if v == 500.0:  # the t cell of row 500, in a middle block
-                raise ValueError(f"cannot format t=500.0 in process {os.getpid()}")
-            return _fmt(v)
+        csv_block = CLI._cwt_csv_block
 
-        monkeypatch.setattr(CLI, "_fmt", fmt)
+        def block(times, coef):
+            if 500.0 in times:  # the block that holds row 500, in the middle
+                raise ValueError(f"cannot format t=500.0 in process {os.getpid()}")
+            return csv_block(times, coef)
+
+        monkeypatch.setattr(CLI, "_cwt_csv_block", block)
         out = tmp_path / "cwt.csv"
         assert run("cwt", "--signal", str(path), "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -779,13 +782,6 @@ class TestFmt:
     @pytest.mark.parametrize(
         "value, text",
         [
-            (complex(1.5, 0.0), "1.5+0.0j"),
-            (complex(1.5, -0.0), "1.5+0.0j"),  # the sign comes from imag >= 0
-            (complex(-0.0, -2.0), "-0.0-2.0j"),
-            (complex(math.inf, -math.inf), "inf-infj"),
-            (complex(-math.inf, math.inf), "-inf+infj"),
-            (complex(math.nan, math.nan), "nan-nanj"),
-            (np.complex128(0.1 - 0.2j), "0.1-0.2j"),
             (math.inf, "inf"),
             (-math.inf, "-inf"),
             (math.nan, "nan"),
@@ -801,3 +797,114 @@ class TestFmt:
     )
     def test_cells(self, value, text):
         assert _fmt(value) == text
+
+
+# every float kind a cell can hold: signed zeros, nan of either sign,
+# infinities, the smallest subnormal, and reprs on both sides of the
+# switch to exponent notation
+SPECIALS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            1e-5, -1e-5, 1e-4, 9999999999999998.0, 1e16, -1e16, -2.5]
+
+
+def _mixed(shape, seed):
+    """Seeded floats of many magnitudes, at least half of them (and every
+    one of SPECIALS) taken from SPECIALS."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    spots = rng.permutation(x.size)[: max(x.size // 2, len(SPECIALS))]
+    x.ravel()[spots] = np.resize(SPECIALS, len(spots))
+    bits = set(x.ravel().view(np.int64).tolist())
+    assert set(np.array(SPECIALS).view(np.int64).tolist()) <= bits
+    return x
+
+
+def _complex_cell(v) -> str:
+    """The complex CSV cell rule, one value at a time: re+imj with the sign
+    from imag >= 0 and the magnitude of imag."""
+    sign = "+" if v.imag >= 0 else "-"
+    return f"{float.__repr__(v.real)}{sign}{float.__repr__(abs(v.imag))}j"
+
+
+def _cwt_lines(times, coef) -> str:
+    return "".join(
+        ",".join([float.__repr__(t)] + [_complex_cell(v) for v in row]) + "\n"
+        for t, row in zip(times.tolist(), coef.tolist())
+    )
+
+
+class TestCwtCsvBlock:
+    """`cwt` CSV blocks, formatted with one repr per block, hold the bytes
+    of the per-cell rule."""
+
+    ROWS, SCALES = 17, 13
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        coef = np.empty((self.ROWS, self.SCALES), dtype=complex)
+        coef.real = _mixed(coef.shape, 1)
+        coef.imag = _mixed(coef.shape, 2)
+        return _mixed(self.ROWS, 3), coef
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (complex(1.5, 0.0), "1.5+0.0j"),
+            (complex(1.5, -0.0), "1.5+0.0j"),  # the sign comes from imag >= 0
+            (complex(-0.0, -2.0), "-0.0-2.0j"),
+            (complex(math.inf, -math.inf), "inf-infj"),
+            (complex(-math.inf, math.inf), "-inf+infj"),
+            (complex(math.nan, math.nan), "nan-nanj"),
+            (np.complex128(0.1 - 0.2j), "0.1-0.2j"),
+        ],
+    )
+    def test_cells(self, value, text):
+        assert CLI._cwt_csv_block(np.array([2.0]), np.array([[value]])) == f"2.0,{text}\n"
+
+    def test_cells_rows_and_columns(self, table):
+        times, coef = table
+
+        def check(t, c):
+            assert CLI._cwt_csv_block(t, c) == _cwt_lines(t, c)
+
+        # every 1x1, 1xS and Rx1 block, then the whole table in Fortran
+        # order, as the transform returns its coefficients
+        for i in range(self.ROWS):
+            for j in range(self.SCALES):
+                check(times[i:i + 1], coef[i:i + 1, j:j + 1])
+            check(times[i:i + 1], coef[i:i + 1])
+        for j in range(self.SCALES):
+            check(times, coef[:, j:j + 1])
+        check(times, np.asfortranarray(coef))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_write_lines_in_blocks(self, monkeypatch, table, workers):
+        times, coef = table
+        # three rows a block: 17 rows end in a block of 2
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 3 * (self.SCALES + 1))
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        f = io.StringIO()
+        CLI._write_lines(f, self.ROWS, self.SCALES + 1,
+                         lambda i0, i1: CLI._cwt_csv_block(times[i0:i1], coef[i0:i1]))
+        assert f.getvalue() == _cwt_lines(times, coef)
+        assert len(forks) == (0 if workers == 1 else workers)
+
+
+class TestRealCsvBlocks:
+    """A float ndarray given to `_write_csv` is written in blocks with the
+    bytes of `_fmt` on every cell."""
+
+    @pytest.mark.parametrize("cells", [1, 20, 1 << 14])
+    def test_bytes_equal_per_cell_rows(self, monkeypatch, cells):
+        table = _mixed((23, 9), 4)
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", cells)
+        # 1x1, 1xS, Rx1 and RxS blocks of the table
+        blocks = [table[i:i + 1, j:j + 1] for i in range(23) for j in range(9)]
+        blocks += [table[i:i + 1] for i in range(23)] + [table[:, j:j + 1] for j in range(9)]
+        for block in blocks + [table]:
+            f = io.StringIO()
+            CLI._write_csv(f, ["note"], ["a"], block)
+            expected = "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist())
+            assert f.getvalue() == "# note\na\n" + expected
