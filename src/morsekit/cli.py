@@ -2,21 +2,26 @@
 gallery, concentration curves, property tables, transform coefficients,
 Bessel-fit results, and limiting-form diagnostics as CSV or JSON.
 
+Each subcommand's parser names its handler (``set_defaults(run=...)``),
+which ``main`` calls with the parsed arguments as options; the text ones
+(beta, gamma, p_lines, pgrid, pairs) go through one table, ``_PARSERS``.
+
 Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
 undefined cells blank.  One writer serves every command: CSV tables are
 written one row at a time, or, for a float array such as the `map` area
 table and the `cwt` coefficients, one block of at most ``_FORMAT_CELLS``
 cells at a time; every float of a block goes through a single repr of a
-list.  A run holds its results plus one formatted block, never the whole
-text.
+list, as do the `cwt` JSON coefficients, a block of rows at a time.  A
+run holds its results plus one formatted block, never the whole text.
 
 A `cwt` table (CSV, or each part of the JSON coefficients) of more than
 one block of rows is formatted by forked worker processes, one per CPU
 the transform's threads use: worker k of W formats blocks k, k + W,
-k + 2W, ... with the same block formatter and sends them through its own
-pipe, and the parent copies the blocks to the output in row order, at
-most 64 KB at a time.  The parent then holds one such piece and each
+k + 2W, ... with the same block formatter and sends them as
+length-prefixed records through a buffered file on its own pipe, and the
+parent copies the blocks to the output in row order, at most 64 KB at a
+time.  The parent then holds one such piece and each
 worker one block of text; the bytes are those of the in-process writer.
 One block, one CPU, or no ``os.fork`` writes in-process.
 """
@@ -194,7 +199,7 @@ def _write_lines(f, n_rows: int, row_cells: int, block):
     try:
         for k in range(workers):
             r, w = os.pipe()
-            reads.append(r)
+            reads.append(open(r, "rb"))
             try:
                 pid = _fork()
                 if pid == 0:
@@ -214,7 +219,7 @@ def _write_lines(f, n_rows: int, row_cells: int, block):
     finally:
         # closed pipes end any worker still writing (BrokenPipeError)
         for r in reads:
-            os.close(r)
+            r.close()
         for pid in pids:
             os.waitpid(pid, 0)
 
@@ -237,41 +242,37 @@ def _fork() -> int:
 
 def _format_blocks(w: int, reads, blocks, block):
     """A worker's whole life: each block's text, or the first error, as a
-    length-prefixed record on pipe ``w`` (an error's length negative).  It
-    leaves only through os._exit, so it never runs the parent's atexit
-    handlers or flushes the parent's buffered output."""
+    record on pipe ``w``: its length as 8 little-endian bytes (an error's
+    negative), then the bytes.  The pipe's buffered file is flushed and
+    closed before the worker leaves, only through os._exit, so it never
+    runs the parent's atexit handlers or flushes the parent's buffered
+    output."""
     code = 1
     try:
         for r in reads:
-            os.close(r)
-        try:
-            for i0, i1 in blocks:
-                _write_record(w, block(i0, i1).encode("ascii"), 1)
-            code = 0
-        except Exception as exc:
-            payload = pickle.dumps(exc)
-            # an exception the parent could not rebuild ends the worker
-            # without a record, which the parent reports as an early exit
-            pickle.loads(payload)
-            _write_record(w, payload, -1)
+            r.close()
+        with open(w, "wb") as out:
+            try:
+                for i0, i1 in blocks:
+                    text = block(i0, i1).encode("ascii")
+                    out.write(struct.pack("<q", len(text)))
+                    out.write(text)
+                code = 0
+            except Exception as exc:
+                payload = pickle.dumps(exc)
+                # an exception the parent could not rebuild ends the worker
+                # without a record, which the parent reports as an early exit
+                pickle.loads(payload)
+                out.write(struct.pack("<q", -len(payload)))
+                out.write(payload)
     finally:
         os._exit(code)
 
 
-def _write_record(w: int, data: bytes, sign: int):
-    """``data`` after its length times ``sign``, as 8 little-endian bytes."""
-    view = memoryview(struct.pack("<q", sign * len(data)) + data)
-    while view:
-        view = view[os.write(w, view):]
-
-
-def _read_exact(r: int, size: int) -> bytes:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(r, size - len(data))
-        if not chunk:
-            raise RuntimeError("a formatting worker exited before its block")
-        data += chunk
+def _read_exact(r, size: int) -> bytes:
+    data = r.read(size)
+    if len(data) < size:
+        raise RuntimeError("a formatting worker exited before its block")
     return data
 
 
@@ -342,6 +343,34 @@ def _parse_pgrid(text: str) -> list[float]:
         raise ValueError(f"bad pgrid {text!r}")
     n = int(round((stop - start) / step))
     return [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-12]
+
+
+def _parse_p_lines(text: str) -> list[float]:
+    values = [float(v) for v in text.split(",")]
+    for p_val in values:
+        if not 0 <= p_val < math.inf:
+            raise ValueError(f"p-lines must be finite and >= 0 (got {p_val})")
+    return values
+
+
+def _parse_pairs(texts: list[str]) -> list[tuple[float, float]]:
+    pairs = []
+    for text in texts:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"each pair must be beta,gamma (got {text!r})")
+        pairs.append((float(parts[0]), float(parts[1])))
+    return pairs
+
+
+# the options given as text, by name, whatever the command
+_PARSERS = {
+    "beta": _parse_list_or_range,
+    "gamma": _parse_list_or_range,
+    "p_lines": _parse_p_lines,
+    "pgrid": _parse_pgrid,
+    "pairs": _parse_pairs,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +619,10 @@ def cmd_cwt(cfg: RunConfig) -> int:
             f.write(head[:-1])
             for key, part in (("real", coef.real), ("imag", coef.imag)):
                 f.write(f', "{key}": [')
-                _write_lines(f, len(part), part.shape[1], lambda i0, i1: "".join(
-                    (", " if i else "") + json.dumps(row.tolist())
-                    for i, row in enumerate(part[i0:i1], i0)
+                # json.dumps gives a finite float its repr, so each block of
+                # rows is one repr of its nested list
+                _write_lines(f, len(part), part.shape[1], lambda i0, i1: (
+                    (", " if i0 else "") + repr(part[i0:i1].tolist())[1:-1]
                 ))
                 f.write("]")
             f.write("}\n")
@@ -671,12 +701,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"morsekit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_help="output file or directory"):
+    def common(sp, run, out_help="output file or directory"):
+        sp.set_defaults(run=run)
         sp.add_argument("--out", type=Path, default=None, help=out_help)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("map", help="Heisenberg-area map over the (beta, gamma) plane")
-    common(sp, "output directory (required)")
+    common(sp, cmd_map, "output directory (required)")
     sp.add_argument("--beta", default="0.55:60:200", help="list or lo:hi:n log range")
     sp.add_argument("--gamma", default="0.3:30:200", help="list or lo:hi:n log range")
     sp.add_argument(
@@ -686,23 +717,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("gallery", help="time/frequency wavelet gallery")
-    common(sp, "output directory (required)")
+    common(sp, cmd_gallery, "output directory (required)")
     sp.add_argument("--beta", default=",".join(str(v) for v in GALLERY_VALUES))
     sp.add_argument("--gamma", default=",".join(str(v) for v in GALLERY_VALUES))
 
     sp = sub.add_parser(
         "curves", help="1/A and Gaussian-similarity curves vs duration"
     )
-    common(sp)
+    common(sp, cmd_curves)
     sp.add_argument("--pgrid", default="0.5:0.05:8", help="start:step:stop")
     sp.add_argument("--gamma", default="1,2,3,4,5,6")
 
     sp = sub.add_parser("props", help="property table for (beta,gamma) pairs")
-    common(sp)
+    common(sp, cmd_props)
     sp.add_argument("pairs", nargs="+", help="pairs as beta,gamma")
 
     sp = sub.add_parser("cwt", help="continuous wavelet transform of a signal file")
-    common(sp)
+    common(sp, cmd_cwt)
     sp.add_argument("--signal", type=Path, required=True)
     sp.add_argument("--wavelet-beta", type=float, default=9.0)
     sp.add_argument("--wavelet-gamma", type=float, default=3.0)
@@ -715,12 +746,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("besselfit", help="best Morse approximation of the Bessel wavelet")
-    common(sp)
+    common(sp, cmd_besselfit)
     sp.add_argument("--beta", default="1:50:100", help="lo:hi:n log grid")
     sp.add_argument("--gamma", default="0.02:2:100", help="lo:hi:n log grid")
 
     sp = sub.add_parser("limits", help="sup-norm distance from limiting forms")
-    common(sp)
+    common(sp, cmd_limits)
     sp.add_argument("--pvalue", type=float, default=3.0, help="duration P")
     sp.add_argument("--gamma", default="1,0.5,0.1,0.01")
     sp.add_argument("--target", choices=("lognormal", "shannon"), default="lognormal")
@@ -728,79 +759,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        out=args.out,
-        format=args.format,
-    )
-    if args.command == "map":
-        cfg.options["beta"] = _parse_list_or_range(args.beta)
-        cfg.options["gamma"] = _parse_list_or_range(args.gamma)
-        cfg.options["p_lines"] = [float(v) for v in args.p_lines.split(",")]
-        for p_val in cfg.options["p_lines"]:
-            if not 0 <= p_val < math.inf:
-                raise ValueError(f"p-lines must be finite and >= 0 (got {p_val})")
-        if cfg.out is None:
-            raise ValueError("map writes several files: --out DIR is required")
-    elif args.command == "gallery":
-        cfg.options["beta"] = _parse_list_or_range(args.beta)
-        cfg.options["gamma"] = _parse_list_or_range(args.gamma)
-        if cfg.out is None:
-            raise ValueError("gallery writes several files: --out DIR is required")
-    elif args.command == "curves":
-        cfg.options["pgrid"] = _parse_pgrid(args.pgrid)
-        cfg.options["gamma"] = _parse_list_or_range(args.gamma)
-    elif args.command == "props":
-        pairs = []
-        for text in args.pairs:
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"each pair must be beta,gamma (got {text!r})")
-            pairs.append((float(parts[0]), float(parts[1])))
-        cfg.options["pairs"] = pairs
-    elif args.command == "cwt":
-        cfg.options.update(
-            signal=args.signal,
-            wavelet_beta=args.wavelet_beta,
-            wavelet_gamma=args.wavelet_gamma,
-            density=args.density,
-            eta=args.eta,
-            p0=args.p0,
-            norm=args.norm,
-            boundary=args.boundary,
-        )
-    elif args.command == "besselfit":
-        # the fit spans a log grid, so a list would silently lose its inner values
-        for name, text in (("beta", args.beta), ("gamma", args.gamma)):
-            if ":" not in text:
-                raise ValueError(f"--{name} must be a lo:hi:n range (got {text!r})")
-            cfg.options[name] = _parse_list_or_range(text)
-    elif args.command == "limits":
-        cfg.options["pvalue"] = args.pvalue
-        cfg.options["gamma"] = _parse_list_or_range(args.gamma)
-        cfg.options["target"] = args.target
+    """Options parsed in the order they were declared, then each command's
+    own checks."""
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "out", "format", "run")}
+    for name, text in options.items():
+        if name not in _PARSERS:
+            continue
+        if args.command == "besselfit" and ":" not in text:
+            # the fit spans a log grid, so a list would silently lose its inner values
+            raise ValueError(f"--{name} must be a lo:hi:n range (got {text!r})")
+        options[name] = _PARSERS[name](text)
+    if args.command in MULTI_TABLE_COMMANDS and args.out is None:
+        raise ValueError(f"{args.command} writes several files: --out DIR is required")
     if args.command in ("curves", "limits"):
-        for g in cfg.options["gamma"]:
+        for g in options["gamma"]:
             MorseParams(0.0, g)  # rejects a bad gamma in MorseParams' own words
-    return cfg
-
-
-_DISPATCH = {
-    "map": cmd_map,
-    "gallery": cmd_gallery,
-    "curves": cmd_curves,
-    "props": cmd_props,
-    "cwt": cmd_cwt,
-    "besselfit": cmd_besselfit,
-    "limits": cmd_limits,
-}
+    return RunConfig(command=args.command, out=args.out, format=args.format,
+                     options=options)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[args.command](cfg)
+        return args.run(_config_from_args(args))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,7 +226,10 @@ def _bisect(f, lo, hi):
     bracket is halved until it stops shrinking, and the final midpoints are
     returned.  Requires f, taken elementwise, to change sign in each
     bracket.  A bracket's lower end keeps the sign f has at the initial lo,
-    so f(lo) is evaluated once and each midpoint's sign compared with it."""
+    so f(lo) is evaluated once and each midpoint's sign compared with it.
+    The package's one root finder: the Morlet peak frequency and nu
+    (`superfamily`), the zero-skewness curve (`cli` map), and the smallest
+    scale and support cut of the transform (`transform._flank_frequency`)."""
     neg_lo = np.signbit(f(lo))
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):

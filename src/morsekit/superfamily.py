@@ -15,9 +15,9 @@ integral, whose step each member halves until two successive sums agree;
 and `_morlet_area_and_rho_sq` gives the Morlet's area and similarity from
 Gaussian integrals in closed form.  The Morlet's peak frequency, and its
 nu at a given duration, are roots of monotone functions found by the array
-bisection `core._bisect`.  The double-exponential quadrature behind
-`similarity_alpha_sq` and `gaussianity_rho_sq` (`props.quadrature_integral`)
-stays the independent oracle.
+bisection `core._bisect`, the package's one root finder.  The
+double-exponential quadrature behind `similarity_alpha_sq` and
+`gaussianity_rho_sq` (`props.quadrature_integral`) stays the oracle.
 Growing beta at fixed gamma shrinks the relative bandwidth
 sigma_omega/omega_peak toward zero, so in that corner the members tend to
 pure complex exponentials (a diagnostic, not a constructible member).

@@ -6,6 +6,12 @@ O(N log N) per scale.  Internal frequencies are radians per sample; the
 sample spacing dt enters only when converting a scale to a physical
 frequency, peak_frequency/(scale*dt).
 
+The grid's smallest scale puts the Nyquist rate where the spectrum has
+fallen to eta of its peak on its high-frequency flank.  That point, and
+the frequency where the spectrum underflows to exactly 0, are roots of
+level - Psi in u = ln(w/w_p), bisected by `core._bisect` to the last bit
+of u inside a closed-form bracket.
+
 The filter bank runs one scale row per task on as many threads as the
 process may use CPUs, the calling thread among them.  A row's filter is
 evaluated only on the bins below the frequency where the Morse spectrum
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MorseParams, duration, eval_spectrum, peak_frequency
+from .core import MorseParams, _bisect, duration, eval_spectrum, peak_frequency
 
 __all__ = [
     "SignalBuffer",
@@ -136,30 +142,23 @@ class CwtResult:
         object.__setattr__(self, "coefficients", c)
 
 
-def _flank_crossing(p: MorseParams, level: float) -> tuple[float, float]:
-    """Bracket [lo, hi] of the frequency where Psi falls to ``level`` on its
-    decaying high-frequency flank: Psi(lo) > level >= Psi(hi), found by
-    doubling from the peak and then bisection to hi - lo <= 1e-12 * hi.
-    ``hi`` is inf if Psi stays above ``level`` at every finite frequency."""
-    lo = peak_frequency(p) if p.beta > 0 else 0.0
-    hi = 2.0 * lo if lo > 0 else 1.0
-    while eval_spectrum(p, hi) > level:  # Psi(inf) is 0, so this ends
-        lo, hi = hi, 2.0 * hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eval_spectrum(p, mid) > level:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-12 * hi:
-            break
-    return lo, hi
-
-
-def _high_frequency_scale(p: MorseParams, eta: float) -> float:
-    """Smallest admissible scale: Psi(s*pi)/2 == eta at the Nyquist rate."""
-    lo, hi = _flank_crossing(p, 2.0 * eta)
-    return 0.5 * (lo + hi) / math.pi
+def _flank_frequency(p: MorseParams, level: float) -> float:
+    """The frequency where Psi falls to ``level`` on its decaying
+    high-frequency flank (at level 0, where it underflows to exactly 0): the
+    root of level - Psi in u = ln(w/w_p), bisected on [0, u_hi].  With
+    y = (w/w_p)**gamma, ln(Psi/2) = (beta/gamma)(ln y + 1 - y) <=
+    (beta/gamma)(ln 2 - y/2), so Psi <= level once y >= 2(ln 2 - gamma T/beta),
+    T = ln(level/2); T = -750 puts 2 e^T below half the smallest subnormal.
+    The beta = 0 lowpass member, 2 exp(-w**gamma), has w_p = 1 and y >= -T."""
+    t = math.log(0.5 * level) if level > 0 else -750.0
+    if p.beta > 0:
+        wp, y_hi = peak_frequency(p), 2.0 * (math.log(2.0) - p.gamma * t / p.beta)
+    else:
+        wp, y_hi = 1.0, -t
+    with np.errstate(over="ignore"):  # Psi(inf) is 0, and the root may be inf
+        u = _bisect(lambda u: level - eval_spectrum(p, wp * np.exp(u)),
+                    0.0, math.log(y_hi) / p.gamma)
+        return float(wp * np.exp(u))
 
 
 def scale_grid(
@@ -187,8 +186,14 @@ def scale_grid(
     if signal_len < 2:
         raise ValueError("signal too short")
 
-    s_min = _high_frequency_scale(p, eta)
-    s_max = signal_len * peak_frequency(p) / (2.0 * duration(p) * p0)
+    with np.errstate(over="ignore"):
+        wp = peak_frequency(p)
+    if not 0.0 < wp < math.inf:
+        word = "overflows" if wp else "underflows"
+        raise ValueError(f"peak frequency (beta/gamma)**(1/gamma) {word} double range "
+                         f"at beta={p.beta}, gamma={p.gamma}")
+    s_min = _flank_frequency(p, 2.0 * eta) / math.pi
+    s_max = signal_len * wp / (2.0 * duration(p) * p0)
     if s_min > s_max:
         raise ValueError(
             f"signal of length {signal_len} is too short for this wavelet: "
@@ -303,7 +308,7 @@ def transform(
     # Psi is exactly 0 at and above w_zero (the margin covers rounding in
     # the bin counts), so a row gets filter values only on the nonnegative
     # bins below it, the Nyquist bin counted on the + side
-    w_zero = _flank_crossing(grid.params, 0.0)[1] * (1.0 + 1e-9)
+    w_zero = _flank_frequency(grid.params, 0.0) * (1.0 + 1e-9)
     scales = grid.scales
     supports = np.ceil(w_zero * m / (2.0 * np.pi * scales))
     supports = np.minimum(supports, m // 2 + 1).astype(int)

@@ -472,6 +472,20 @@ class TestCwt:
         )
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_peak_frequency_rejected_before_writing(
+        self, tmp_path, capsys, cosine_file
+    ):
+        path, _ = cosine_file
+        out = tmp_path / "cwt.csv"
+        argv = ["--wavelet-beta", "1", "--wavelet-gamma", "0.001", "--out", str(out)]
+        assert run("cwt", "--signal", str(path), *argv) == 2
+        assert capsys.readouterr().err == (
+            "error: peak frequency (beta/gamma)**(1/gamma) overflows double range "
+            "at beta=1.0, gamma=0.001\n"
+        )
+        assert not out.exists()
+
     def test_complex_two_column_input(self, tmp_path):
         n = 256
         w0 = 2.0 * np.pi * 32 / n

@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.fft
@@ -14,6 +15,7 @@ from morsekit.core import MorseParams, duration, eval_spectrum, peak_frequency
 from morsekit.props import quadrature_integral
 from morsekit.transform import (
     CwtResult,
+    ScaleGrid,
     SignalBuffer,
     ridge_frequency_check,
     scale_grid,
@@ -105,6 +107,56 @@ class TestScaleGrid:
         want = np.array([peak_frequency(p) / s / dt for s in grid.scales])
         assert np.all(want > 0) and np.all(np.isfinite(want))
         assert np.all(np.abs(got - want) <= np.spacing(want))
+
+
+# a steep and a gentle flank, a very sharp one, and one whose peak is 2.6e23
+ROOT_CASES = [(9.0, 3.0), (60.0, 0.3), (0.55, 30.0), (22.0, 0.1)]
+
+
+def _mp_s_min(beta, gamma, eta):
+    """s_min to 40 digits: the u = ln(w/w_p) > 0 where Psi = 2 eta, that is
+    beta u + (beta/gamma)(1 - e^(gamma u)) = ln eta, bisected in mpmath;
+    then s_min = w_p e^u / pi."""
+    with mpmath.workdps(40):
+        b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
+
+        def f(u):
+            return b * u + b / g * (1 - mpmath.exp(g * u)) - mpmath.log(eta)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while f(hi) > 0:
+            hi *= 2
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        return float((b / g) ** (1 / g) * mpmath.exp(lo) / mpmath.pi)
+
+
+class TestFlankRoots:
+    """s_min and the support cut are roots bisected to the last bit."""
+
+    @pytest.mark.parametrize("eta", [0.1, 1e-8])
+    @pytest.mark.parametrize("params", ROOT_CASES)
+    def test_s_min_is_the_full_precision_root(self, params, eta):
+        s_min = scale_grid(2**14, MorseParams(*params), eta=eta).scales[0]
+        # a bracket stopped at 1e-12 relative misses by up to 5e-13
+        assert abs(s_min / _mp_s_min(*params, eta) - 1.0) <= 2e-14
+
+    @pytest.mark.parametrize("params", ROOT_CASES + [(0.0, 2.0)])
+    def test_support_cut_is_where_psi_underflows(self, params):
+        p = MorseParams(*params)
+        w_zero = TRANSFORM._flank_frequency(p, 0.0)
+        assert eval_spectrum(p, w_zero * (1.0 + 1e-14)) == 0.0
+        assert eval_spectrum(p, w_zero * (1.0 - 1e-14)) > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params, word", [((1.0, 0.001), "overflows"),
+                                              ((1e-300, 0.01), "underflows")])
+    def test_peak_frequency_out_of_range(self, params, word):
+        with pytest.raises(ValueError, match=(
+            rf"^peak frequency \(beta/gamma\)\*\*\(1/gamma\) {word} double range "
+        )):
+            scale_grid(1024, MorseParams(*params))
 
 
 class TestTransform:
@@ -332,6 +384,16 @@ class TestBlockedTransform:
             assert np.all(eval_spectrum(p, s * omega_pos[k:]) == 0.0)
         if params == (9.0, 3.0):
             assert sum(evaluated) < 0.6 * len(grid) * len(omega_pos)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
+    def test_lowpass_member(self, boundary):
+        # beta = 0 has no peak and scale_grid rejects it, but a hand-built
+        # grid still runs; from scale 9 on its filter underflows below Nyquist
+        n = 1031
+        x = _noise(n, seed=4)
+        grid = ScaleGrid(np.geomspace(0.5, 40.0, 12), MorseParams(0.0, 2.0), 0.1, 5.0, 4)
+        got = transform(SignalBuffer(x), grid, boundary=boundary).coefficients
+        assert np.array_equal(got, reference_transform(x, grid, boundary=boundary))
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("boundary", ["periodic", "mirror"])
