@@ -11,10 +11,11 @@ Runs the four CLI exports at their default resolutions:
            for gamma = 1..6 and the Morlet wavelet
   limits   lognormal- and band-pass-limit sup deviations
 
-Takes 0.7-0.8 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): map and
-gallery take 0.2 s each, curves 0.1 s, and start-up and import about
-0.25 s.  None of the four commands needs scipy, and none imports it.
-Everything runs in one thread.
+Takes about 0.35 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): map,
+gallery and curves about 0.08 s each, the limits well under 0.01 s, and
+start-up and import about 0.1 s.  None of the four commands needs scipy,
+and none imports it.  The map's area table is formatted by forked worker
+processes, one per CPU; everything else runs in one thread.
 """
 
 import sys

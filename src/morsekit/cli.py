@@ -3,27 +3,30 @@ gallery, concentration curves, property tables, transform coefficients,
 Bessel-fit results, and limiting-form diagnostics as CSV or JSON.
 
 Each subcommand's parser names its handler (``set_defaults(run=...)``),
-which ``main`` calls with the parsed arguments as options; the text ones
-(beta, gamma, p_lines, pgrid, pairs) go through one table, ``_PARSERS``.
+which ``main`` calls with the parsed arguments as its whole config: the
+text options (beta, gamma, p_lines, pgrid, pairs) are parsed in place on
+them through one table, ``_PARSERS``.
 
 Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
 undefined cells blank.  One writer serves every command: CSV tables are
 written one row at a time, or, for a float array such as the `map` area
 table and the `cwt` coefficients, one block of at most ``_FORMAT_CELLS``
-cells at a time; every float of a block goes through a single repr of a
-list, as do the `cwt` JSON coefficients, a block of rows at a time.  A
-run holds its results plus one formatted block, never the whole text.
+cells at a time by ``_write_lines``; every float of a block goes through
+a single repr of a list, as do the `cwt` JSON coefficients, a block of
+rows at a time.  A run holds its results plus one formatted block, never
+the whole text.
 
-A `cwt` table (CSV, or each part of the JSON coefficients) of more than
-one block of rows is formatted by forked worker processes, one per CPU
-the transform's threads use: worker k of W formats blocks k, k + W,
-k + 2W, ... with the same block formatter and sends them as
-length-prefixed records through a buffered file on its own pipe, and the
-parent copies the blocks to the output in row order, at most 64 KB at a
-time.  The parent then holds one such piece and each
-worker one block of text; the bytes are those of the in-process writer.
-One block, one CPU, or no ``os.fork`` writes in-process.
+``_write_lines`` has any table of more than one block of rows (the `map`
+area table, the `cwt` CSV, each part of the `cwt` JSON coefficients)
+formatted by forked worker processes, one per CPU the transform's threads
+use: worker k of W formats blocks k, k + W, k + 2W, ... with the same
+block formatter and sends them as length-prefixed records through a
+buffered file on its own pipe, and the parent copies the blocks to the
+output in row order, at most 64 KB at a time.  The parent then holds one
+such piece and each worker one block of text; the bytes are those of the
+in-process writer.  One block, one CPU, or no ``os.fork`` writes
+in-process.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import pickle
 import struct
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +56,7 @@ from .core import (
     peak_frequency,
     sample_wavelet,
 )
-from .props import (
-    _heisenberg_area,
-    _skewness,
-    heisenberg_area,
-    sigma_omega,
-    sigma_t,
-    skewness_freq,
-)
+from .props import _heisenberg_area, _skewness, property_summary
 from .superfamily import (
     BesselFitGrid,
     _morlet_area_and_rho_sq,
@@ -86,23 +82,19 @@ GALLERY_VALUES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
 GALLERY_COLUMNS = ("time_scaled", "wavelet_real", "wavelet_imag", "wavelet_modulus",
                    "freq_scaled", "spectrum", "gaussian_approx", "quartic_approx")
 
-
-@dataclass
-class RunConfig:
-    command: str
-    out: Path | None = None
-    format: str = "csv"
-    options: dict = field(default_factory=dict)
-
-    def describe(self) -> str:
-        parts = []
-        for k, v in sorted(self.options.items()):
-            if isinstance(v, (list, tuple)) and len(v) > 6:
-                v = f"[{v[0]}..{v[-1]}]x{len(v)}"
-            elif isinstance(v, (list, tuple)):
-                v = "[" + ",".join(str(x) for x in v) + "]"
-            parts.append(f"{k}={v}")
-        return f"morsekit {self.command} format={self.format} " + " ".join(parts)
+def _describe(args: argparse.Namespace) -> str:
+    """The run as one line: the command, the format and every option,
+    sorted by name, a list of more than six values by its ends and count."""
+    parts = []
+    for k, v in sorted(vars(args).items()):
+        if k in ("command", "out", "format", "run"):
+            continue
+        if isinstance(v, (list, tuple)) and len(v) > 6:
+            v = f"[{v[0]}..{v[-1]}]x{len(v)}"
+        elif isinstance(v, (list, tuple)):
+            v = "[" + ",".join(str(x) for x in v) + "]"
+        parts.append(f"{k}={v}")
+    return f"morsekit {args.command} format={args.format} " + " ".join(parts)
 
 
 def _fmt(v) -> str:
@@ -143,17 +135,16 @@ def _open_output(path: Path | None):
 
 def _write_csv(f, comments, columns, rows):
     """Comment lines, the column line, then the rows: a 2-D float ndarray
-    in blocks of at most ``_FORMAT_CELLS`` cells, each block's floats
-    through one repr of its nested list, any other iterable one line per
-    row as it comes.  Both give the bytes of ``_fmt`` on every cell."""
+    through ``_write_lines``, each block's floats through one repr of its
+    nested list, any other iterable one line per row as it comes.  Both
+    give the bytes of ``_fmt`` on every cell."""
     for line in comments:
         f.write(f"# {line}\n")
     f.write(",".join(columns) + "\n")
     if isinstance(rows, np.ndarray):
-        per_block = max(1, _FORMAT_CELLS // rows.shape[1])
-        for i in range(0, len(rows), per_block):
-            text = repr(rows[i:i + per_block].tolist())[2:-2]
-            f.write(text.replace("], [", "\n").replace(", ", ",") + "\n")
+        _write_lines(f, len(rows), rows.shape[1], lambda i0, i1: (
+            repr(rows[i0:i1].tolist())[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
+        ))
         return
     for row in rows:
         f.write(",".join(map(_fmt, row)) + "\n")
@@ -228,11 +219,11 @@ def _fork() -> int:
     # The parent may have threads (numpy's BLAS pool), so Python 3.12+
     # warns that fork may deadlock the child.  `transform` starts no
     # pocketfft pool, and its own row threads are joined before it returns,
-    # so none runs when `cwt` forks.  The child only copies blocks of
-    # coefficients with elementwise numpy calls (no BLAS), formats their
-    # floats, writes to its pipe and leaves through os._exit; it takes no
-    # lock a thread may hold, and the BLAS pool re-arms through its own
-    # pthread_atfork handler.
+    # so none runs when `cwt` forks; `map` runs no threads of its own.  The
+    # child only copies blocks of a float table with elementwise numpy
+    # calls (no BLAS), formats their floats, writes to its pipe and leaves
+    # through os._exit; it takes no lock a thread may hold, and the BLAS
+    # pool re-arms through its own pthread_atfork handler.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
@@ -276,25 +267,26 @@ def _read_exact(r, size: int) -> bytes:
     return data
 
 
-def _write_table(cfg: RunConfig, stem: str, columns, rows, meta: dict | None = None):
+def _write_table(args: argparse.Namespace, stem: str, columns, rows,
+                 meta: dict | None = None):
     """Write one table to ``stem``'s output file (or stdout): CSV row by
     row, or one JSON object built before the file is opened."""
     meta = meta or {}
-    if cfg.format == "csv":
-        comments = [cfg.describe()] + [f"{k}={_fmt(v)}" for k, v in sorted(meta.items())]
-        with _open_output(_out_file(cfg, stem)) as f:
+    if args.format == "csv":
+        comments = [_describe(args)] + [f"{k}={_fmt(v)}" for k, v in sorted(meta.items())]
+        with _open_output(_out_file(args, stem)) as f:
             _write_csv(f, comments, columns, rows)
         return
     payload = {
-        "command": cfg.command,
-        "config": cfg.describe(),
+        "command": args.command,
+        "config": _describe(args),
         "columns": list(columns),
         "rows": [[_jsonable(v) for v in row] for row in rows],
     }
     if meta:
         payload["meta"] = {k: _jsonable(v) for k, v in meta.items()}
     text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
-    with _open_output(_out_file(cfg, stem)) as f:
+    with _open_output(_out_file(args, stem)) as f:
         f.write(text)
 
 
@@ -302,14 +294,14 @@ def _write_table(cfg: RunConfig, stem: str, columns, rows, meta: dict | None = N
 MULTI_TABLE_COMMANDS = ("map", "gallery")
 
 
-def _out_file(cfg: RunConfig, stem: str) -> Path | None:
+def _out_file(args: argparse.Namespace, stem: str) -> Path | None:
     """The file for one table: ``--out`` itself when it has a suffix and
     the command writes one table, else ``stem``'s file inside it."""
-    if cfg.out is None:
+    if args.out is None:
         return None
-    ext = "json" if cfg.format == "json" else "csv"
-    out = cfg.out
-    if out.suffix and cfg.command not in MULTI_TABLE_COMMANDS:
+    ext = "json" if args.format == "json" else "csv"
+    out = args.out
+    if out.suffix and args.command not in MULTI_TABLE_COMMANDS:
         return out
     return out / f"{stem}.{ext}"
 
@@ -387,9 +379,9 @@ def _zero_skewness_rows(betas, g_lo: float, g_hi: float) -> list[tuple[float, fl
     return list(zip(b.tolist(), _bisect(lambda g: _skewness(b, g), lo, hi).tolist()))
 
 
-def cmd_map(cfg: RunConfig) -> int:
-    betas = cfg.options["beta"]
-    gammas = cfg.options["gamma"]
+def cmd_map(args: argparse.Namespace) -> int:
+    betas = args.beta
+    gammas = args.gamma
     # the first row and column hold every value, so MorseParams rejects the
     # first bad cell in beta-major order, in its own words
     for b, g in [(b, g) for b in betas[:1] for g in gammas] + [
@@ -400,29 +392,29 @@ def cmd_map(cfg: RunConfig) -> int:
     b_grid, g_grid = np.meshgrid(betas, gammas, indexing="ij")
     areas = _heisenberg_area(b_grid, g_grid)
     _write_table(
-        cfg,
+        args,
         "heisenberg_map",
         ("beta", "gamma", "heisenberg_area"),
         np.column_stack((b_grid.ravel(), g_grid.ravel(), areas.ravel())),
     )
 
     sk_rows = _zero_skewness_rows(betas, min(gammas), max(gammas))
-    _write_table(cfg, "skewness_zero", ("beta", "gamma_star"), sk_rows)
+    _write_table(args, "skewness_zero", ("beta", "gamma_star"), sk_rows)
 
     loc_rows = [(g, (g - 1.0) / 2.0) for g in gammas if g >= 1.0]
-    _write_table(cfg, "localization_border", ("gamma", "beta_border"), loc_rows)
+    _write_table(args, "localization_border", ("gamma", "beta_border"), loc_rows)
 
     p_rows = []
-    for p_val in cfg.options["p_lines"]:
+    for p_val in args.p_lines:
         for g in gammas:
             p_rows.append((p_val, p_val**2 / g, g))
-    _write_table(cfg, "constant_p_lines", ("duration", "beta", "gamma"), p_rows)
+    _write_table(args, "constant_p_lines", ("duration", "beta", "gamma"), p_rows)
     return 0
 
 
-def cmd_gallery(cfg: RunConfig) -> int:
-    betas = cfg.options["beta"]
-    gammas = cfg.options["gamma"]
+def cmd_gallery(args: argparse.Namespace) -> int:
+    betas = args.beta
+    gammas = args.gamma
     n = 511  # odd: symmetric time grid, and the frequency grid hits 1 exactly
     # every pair is checked before the first file is written
     pairs = [MorseParams(b, g) for b in betas for g in gammas]
@@ -448,22 +440,22 @@ def cmd_gallery(cfg: RunConfig) -> int:
         )
         stem = f"pair_beta{_fmt(b)}_gamma{_fmt(g)}".replace(".", "p")
         _write_table(
-            cfg,
+            args,
             stem,
             GALLERY_COLUMNS,
             zip(*(c.tolist() for c in columns)),
             meta={"beta": b, "gamma": g, "peak_frequency": wp, "duration": pd},
         )
-        index_rows.append((_out_file(cfg, stem).name, b, g, wp, pd))
+        index_rows.append((_out_file(args, stem).name, b, g, wp, pd))
     _write_table(
-        cfg, "index", ("file", "beta", "gamma", "peak_frequency", "duration"), index_rows
+        args, "index", ("file", "beta", "gamma", "peak_frequency", "duration"), index_rows
     )
     return 0
 
 
-def cmd_curves(cfg: RunConfig) -> int:
-    p_grid = cfg.options["pgrid"]
-    gammas = cfg.options["gamma"]
+def cmd_curves(args: argparse.Namespace) -> int:
+    p_grid = args.pgrid
+    gammas = args.gamma
     columns = ["duration"]
     columns += [f"inv_area_gamma{_fmt(g)}" for g in gammas] + ["inv_area_morlet"]
     columns += [f"rho2_gamma{_fmt(g)}" for g in gammas] + ["rho2_morlet"]
@@ -498,11 +490,11 @@ def cmd_curves(cfg: RunConfig) -> int:
             f"no Morlet wavelet has duration at or below {p_min:.4g}",
             file=sys.stderr,
         )
-    _write_table(cfg, "concentration_curves", columns, rows)
+    _write_table(args, "concentration_curves", columns, rows)
     return 0
 
 
-def cmd_props(cfg: RunConfig) -> int:
+def cmd_props(args: argparse.Namespace) -> int:
     columns = (
         "beta",
         "gamma",
@@ -515,28 +507,14 @@ def cmd_props(cfg: RunConfig) -> int:
         "in_localization_region",
     )
     rows = []
-    for b, g in cfg.options["pairs"]:
+    for b, g in args.pairs:
         p = MorseParams(b, g)
         if b == 0:
-            rows.append(
-                (b, g, half_power_frequency(p), 0.0, math.inf, None, math.inf, None,
-                 int(p.in_localization_region))
-            )
-            continue
-        rows.append(
-            (
-                b,
-                g,
-                peak_frequency(p),
-                duration(p),
-                sigma_t(p),
-                sigma_omega(p),
-                heisenberg_area(p),
-                skewness_freq(p),
-                int(p.in_localization_region),
-            )
-        )
-    _write_table(cfg, "properties", columns, rows)
+            cells = (half_power_frequency(p), 0.0, math.inf, None, math.inf, None)
+        else:
+            cells = astuple(property_summary(p))
+        rows.append((b, g, *cells, int(p.in_localization_region)))
+    _write_table(args, "properties", columns, rows)
     return 0
 
 
@@ -579,16 +557,10 @@ def _read_signal_file(path: Path) -> SignalBuffer:
     return SignalBuffer(samples=arr, dt=dt)
 
 
-def cmd_cwt(cfg: RunConfig) -> int:
-    sig = _read_signal_file(cfg.options["signal"])
-    p = MorseParams(cfg.options["wavelet_beta"], cfg.options["wavelet_gamma"])
-    grid = scale_grid(
-        len(sig.samples),
-        p,
-        density=cfg.options["density"],
-        eta=cfg.options["eta"],
-        p0=cfg.options["p0"],
-    )
+def cmd_cwt(args: argparse.Namespace) -> int:
+    sig = _read_signal_file(args.signal)
+    p = MorseParams(args.wavelet_beta, args.wavelet_gamma)
+    grid = scale_grid(len(sig.samples), p, density=args.density, eta=args.eta, p0=args.p0)
     # the t column holds k*dt and the header w_p/(s*dt): all must be finite
     with np.errstate(over="ignore", divide="ignore"):
         finite = (math.isfinite((len(sig.samples) - 1) * sig.dt)
@@ -599,23 +571,23 @@ def cmd_cwt(cfg: RunConfig) -> int:
             f"dt={_fmt(sig.dt)} puts the sample times or the scales' peak "
             "frequencies outside double range"
         )
-    norm = "unitary_n_half" if cfg.options["norm"] == "nhalf" else "bandpass_n1"
-    res = transform(sig, grid, normalization=norm, boundary=cfg.options["boundary"])
+    norm = "unitary_n_half" if args.norm == "nhalf" else "bandpass_n1"
+    res = transform(sig, grid, normalization=norm, boundary=args.boundary)
 
     coef = res.coefficients
-    if cfg.format == "json":
+    if args.format == "json":
         # the bytes of json.dumps on the whole payload, written one row at a
         # time: the metadata object without its closing brace, then each
         # part's rows, then the brace
         head = json.dumps(dict(
-            command="cwt", config=cfg.describe(), dt=sig.dt,
+            command="cwt", config=_describe(args), dt=sig.dt,
             normalization=res.normalization, boundary=res.boundary,
             scales=grid.scales.tolist(),
             peak_frequencies=grid.peak_frequencies(sig.dt).tolist(),
         ), allow_nan=False)
         if not np.isfinite(coef).all():
             raise ValueError("coefficients hold inf or nan, which JSON cannot represent")
-        with _open_output(_out_file(cfg, "cwt")) as f:
+        with _open_output(_out_file(args, "cwt")) as f:
             f.write(head[:-1])
             for key, part in (("real", coef.real), ("imag", coef.imag)):
                 f.write(f', "{key}": [')
@@ -629,12 +601,12 @@ def cmd_cwt(cfg: RunConfig) -> int:
         return 0
 
     comments = [
-        cfg.describe(),
+        _describe(args),
         f"dt={_fmt(sig.dt)} normalization={res.normalization} boundary={res.boundary}",
     ]
     columns = ["t"] + [f"scale={_fmt(s)}" for s in grid.scales.tolist()]
     times = np.arange(coef.shape[0]) * sig.dt
-    with _open_output(_out_file(cfg, "cwt")) as f:
+    with _open_output(_out_file(args, "cwt")) as f:
         _write_csv(f, comments, columns, ())
         _write_lines(f, len(coef), len(columns), lambda i0, i1: _cwt_csv_block(
             times[i0:i1], coef[i0:i1]
@@ -642,14 +614,14 @@ def cmd_cwt(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_besselfit(cfg: RunConfig) -> int:
+def cmd_besselfit(args: argparse.Namespace) -> int:
     grid = BesselFitGrid(
-        beta_lo=cfg.options["beta"][0],
-        beta_hi=cfg.options["beta"][-1],
-        gamma_lo=cfg.options["gamma"][0],
-        gamma_hi=cfg.options["gamma"][-1],
-        n_beta=len(cfg.options["beta"]),
-        n_gamma=len(cfg.options["gamma"]),
+        beta_lo=args.beta[0],
+        beta_hi=args.beta[-1],
+        gamma_lo=args.gamma[0],
+        gamma_hi=args.gamma[-1],
+        n_beta=len(args.beta),
+        n_gamma=len(args.gamma),
     )
     res = bessel_fit(grid)
     print(
@@ -657,9 +629,9 @@ def cmd_besselfit(cfg: RunConfig) -> int:
         f"gamma={_fmt(res.best_params.gamma)} alpha_sq={_fmt(res.alpha_sq)} "
         f"({len(res.grid_trace)} evaluations)"
     )
-    if cfg.out is not None:
+    if args.out is not None:
         _write_table(
-            cfg,
+            args,
             "besselfit_trace",
             ("beta", "gamma", "alpha_sq"),
             res.grid_trace,
@@ -672,16 +644,14 @@ def cmd_besselfit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_limits(cfg: RunConfig) -> int:
-    rows = limit_diagnostics(
-        cfg.options["pvalue"], cfg.options["gamma"], target=cfg.options["target"]
-    )
+def cmd_limits(args: argparse.Namespace) -> int:
+    rows = limit_diagnostics(args.pvalue, args.gamma, target=args.target)
     _write_table(
-        cfg,
+        args,
         "limit_deviations",
         ("gamma", "beta", "sup_deviation"),
         [(r.gamma, r.beta, r.sup_deviation) for r in rows],
-        meta={"duration": cfg.options["pvalue"], "target": cfg.options["target"]},
+        meta={"duration": args.pvalue, "target": args.target},
     )
     return 0
 
@@ -758,31 +728,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    """Options parsed in the order they were declared, then each command's
-    own checks."""
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("command", "out", "format", "run")}
-    for name, text in options.items():
+def _parse_options(args: argparse.Namespace) -> None:
+    """Parse the text options on ``args`` in place, in the order they were
+    declared, then run each command's own checks."""
+    for name, text in vars(args).items():
         if name not in _PARSERS:
             continue
         if args.command == "besselfit" and ":" not in text:
             # the fit spans a log grid, so a list would silently lose its inner values
             raise ValueError(f"--{name} must be a lo:hi:n range (got {text!r})")
-        options[name] = _PARSERS[name](text)
+        setattr(args, name, _PARSERS[name](text))
     if args.command in MULTI_TABLE_COMMANDS and args.out is None:
         raise ValueError(f"{args.command} writes several files: --out DIR is required")
     if args.command in ("curves", "limits"):
-        for g in options["gamma"]:
+        for g in args.gamma:
             MorseParams(0.0, g)  # rejects a bad gamma in MorseParams' own words
-    return RunConfig(command=args.command, out=args.out, format=args.format,
-                     options=options)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(_config_from_args(args))
+        _parse_options(args)
+        return args.run(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

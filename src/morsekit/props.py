@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MorseParams, log_amplitude_constant, peak_frequency
+from .core import MorseParams, duration, log_amplitude_constant, peak_frequency
 
 __all__ = [
     "PropertySummary",
@@ -310,7 +310,7 @@ def property_summary(p: MorseParams) -> PropertySummary:
     """All scalar properties for one parameter pair (requires beta > 0)."""
     return PropertySummary(
         peak_frequency=peak_frequency(p),
-        duration=float(np.sqrt(p.beta * p.gamma)),
+        duration=duration(p),
         sigma_t=sigma_t(p),
         sigma_omega=sigma_omega(p),
         heisenberg_area=heisenberg_area(p),

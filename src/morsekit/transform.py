@@ -100,6 +100,8 @@ class ScaleGrid:
             raise ValueError("scales must be a non-empty 1-D array")
         if s[0] <= 0 or (len(s) > 1 and not np.all(np.diff(s) > 0)):
             raise ValueError("scales must be positive and strictly increasing")
+        if self.params.beta > 0:  # the lowpass member has no peak to check
+            _checked_peak_frequency(self.params)
         object.__setattr__(self, "scales", s)
 
     def __len__(self):
@@ -140,6 +142,17 @@ class CwtResult:
         if c.ndim != 2 or c.shape[1] != len(self.scales):
             raise ValueError("coefficient matrix must be time x scale")
         object.__setattr__(self, "coefficients", c)
+
+
+def _checked_peak_frequency(p: MorseParams) -> float:
+    """w_p for beta > 0, or a ValueError where it leaves double range."""
+    with np.errstate(over="ignore"):
+        wp = peak_frequency(p)
+    if not 0.0 < wp < math.inf:
+        word = "overflows" if wp else "underflows"
+        raise ValueError(f"peak frequency (beta/gamma)**(1/gamma) {word} double range "
+                         f"at beta={p.beta}, gamma={p.gamma}")
+    return wp
 
 
 def _flank_frequency(p: MorseParams, level: float) -> float:
@@ -186,12 +199,7 @@ def scale_grid(
     if signal_len < 2:
         raise ValueError("signal too short")
 
-    with np.errstate(over="ignore"):
-        wp = peak_frequency(p)
-    if not 0.0 < wp < math.inf:
-        word = "overflows" if wp else "underflows"
-        raise ValueError(f"peak frequency (beta/gamma)**(1/gamma) {word} double range "
-                         f"at beta={p.beta}, gamma={p.gamma}")
+    wp = _checked_peak_frequency(p)
     s_min = _flank_frequency(p, 2.0 * eta) / math.pi
     s_max = signal_len * wp / (2.0 * duration(p) * p0)
     if s_min > s_max:

@@ -186,6 +186,26 @@ class TestMap:
         _, sk = _read_csv(out / "skewness_zero.csv")
         assert [b for b, _ in sk] == ["0.3", "0.5", "4.0"]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forked_area_table_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch,
+                                                             workers):
+        args = ["--beta", "0.3:60:14", "--gamma", "0.3:30:12"]
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+        assert run("map", "--out", str(tmp_path / "serial"), *args) == 0
+        # five rows a block: 168 rows end in a block of 3
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 5 * 3)
+        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert run("map", "--out", str(tmp_path / "forked"), *args) == 0
+        serial = sorted((tmp_path / "serial").iterdir())
+        assert [f.name for f in serial] == sorted(f.name for f in (tmp_path / "forked").iterdir())
+        for f in serial:
+            assert (tmp_path / "forked" / f.name).read_bytes() == f.read_bytes()
+        # only the area table is a float array; the other three go row by row
+        assert len(forks) == (0 if workers == 1 else workers)
+
     def test_repeat_run_byte_identical(self, tmp_path):
         args = ["--beta", "1:10:5", "--gamma", "1:10:5"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -573,6 +593,21 @@ class TestCwtWorkers:
         assert int(err.split()[-1]) != os.getpid()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "--beta", "3", "--gamma", "1,3", "--out", "{out}"],
+    ["curves", "--out", "{out}/curves.csv"],
+    ["map", "--beta", "1:10:5", "--gamma", "1:10:5", "--out", "{out}"],
+])
+def test_one_block_tables_never_fork(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 3)
+
+    def no_fork():
+        raise AssertionError("a table of one block forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(*(a.format(out=tmp_path) for a in argv)) == 0
 
 
 class TestBesselfitAndLimits:

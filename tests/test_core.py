@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from morsekit.core import (
     MorseParams,
+    SampledSpectrum,
+    SampledWaveform,
     amplitude_constant,
     approx_spectrum,
     duration,
@@ -275,6 +277,10 @@ class TestExpansionCoeffs:
         assert expansion_coeffs(MorseParams(3, 1)).cubic == pytest.approx(1.0)
         assert expansion_coeffs(MorseParams(3, 3)).quartic == pytest.approx(-0.75)
 
+    def test_lowpass_member_rejected(self):
+        with pytest.raises(ValueError, match="^expansion coefficients require beta > 0$"):
+            expansion_coeffs(MorseParams(0, 3))
+
     @given(b=betas, g=gammas)
     @settings(max_examples=60, deadline=None)
     @small_gamma_examples
@@ -341,6 +347,27 @@ class TestSampleSpectrum:
             sample_spectrum(MorseParams(3, 3), np.array([1.0, 0.5, 2.0]))
 
 
+class TestSampledContainers:
+    @pytest.mark.parametrize("cls", [SampledSpectrum, SampledWaveform])
+    @pytest.mark.parametrize("grid, values", [
+        (np.arange(3.0), np.ones(4)),
+        (np.arange(4.0).reshape(2, 2), np.ones(4)),
+        (np.arange(4.0), np.ones((4, 1))),
+    ])
+    def test_shapes_must_match(self, cls, grid, values):
+        with pytest.raises(ValueError, match="must be 1-D and equally long$"):
+            cls(grid, values)
+
+    @pytest.mark.parametrize("freqs", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_spectrum_grid_must_increase(self, freqs):
+        with pytest.raises(ValueError, match="^frequency grid must be strictly increasing$"):
+            SampledSpectrum(np.array(freqs), np.ones(3))
+
+    def test_waveform_grid_must_be_uniform(self):
+        with pytest.raises(ValueError, match="^time grid must be uniform$"):
+            SampledWaveform(np.array([0.0, 1.0, 2.0, 3.5]), np.ones(4))
+
+
 class TestSampleWavelet:
     def test_zero_mean(self):
         wf = sample_wavelet(MorseParams(3, 3), 1.0, 512, 0.15)
@@ -389,8 +416,10 @@ class TestSampleWavelet:
         assert prod.max() / prod.min() < 1.25
 
     def test_aliasing_guard(self):
-        with pytest.raises(ValueError, match="aliasing|Nyquist"):
-            sample_wavelet(MorseParams(9, 3), 1.0, 64, 2.4)
+        # pi/1.8 = 1.75 lies above w_p = 1.44, where Psi is still 0.55 of
+        # its peak; at dt = 2.4 the Nyquist rate would sit below w_p
+        with pytest.raises(ValueError, match="^aliasing: spectrum at Nyquist is 0.549 of peak"):
+            sample_wavelet(MorseParams(9, 3), 1.0, 64, 1.8)
 
     def test_large_scale_peak_below_nyquist_is_accepted(self):
         # the scaled peak sits at w_p/scale = 0.14 rad, far below pi/dt = 6.28

@@ -408,6 +408,13 @@ class TestScipyUnloaded:
         assert out.strip().splitlines()[-1] == str([0] * len(codes))
 
 
+@pytest.mark.parametrize("fn, word", [(mean_frequency, "mean frequency"),
+                                      (skewness_freq, "skewness")])
+def test_lowpass_member_rejected(fn, word):
+    with pytest.raises(ValueError, match=f"^{word} requires beta > 0$"):
+        fn(MorseParams(0, 2))
+
+
 class TestPropertySummary:
     def test_fields_consistent(self):
         p = MorseParams(9, 3)

@@ -73,6 +73,15 @@ _HALF_LINE = [0, 0.25, 0.5, 1, 2, 4, mp.inf]
 
 
 class TestMorlet:
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+    def test_nu_must_be_finite_and_positive(self, nu):
+        with pytest.raises(ValueError, match=r"^nu must be finite and > 0 \(got "):
+            MorletParams(nu)
+
+    def test_peak_solver_floor(self):
+        with pytest.raises(ValueError, match=r"^peak solver requires nu >= 0.1 \(got 0.09\)$"):
+            morlet_peak_and_duration(MorletParams(0.09))
+
     def test_vanishes_at_zero_frequency(self):
         assert morlet_spectrum(MorletParams(2.0), 0.0) == 0.0
 
@@ -257,6 +266,11 @@ class TestNamedSpectra:
         assert abs(v[mid].imag) < 1e-12
         assert abs(v[mid - 1].imag) > abs(v[mid - 1].real)
 
+    @pytest.mark.parametrize("n, dt", [(15, 1.0), (256, 0.0), (256, -0.5)])
+    def test_analytic_filter_time_guard(self, n, dt):
+        with pytest.raises(ValueError, match=r"^need n >= 16 and dt > 0$"):
+            analytic_filter_time_samples(n, dt)
+
 
 class TestFamilyAliases:
     @pytest.mark.parametrize("g", [1.0, 2.0, 3.0])
@@ -308,6 +322,10 @@ class TestSimilarity:
     def test_analytic_filter_rejected(self):
         with pytest.raises(ValueError, match="square integrable"):
             similarity_alpha_sq(analytic_filter_wavelet(), bessel_wavelet())
+
+    def test_gmw_lowpass_member_rejected(self):
+        with pytest.raises(ValueError, match="^cross-family comparison needs beta > 0$"):
+            gmw_wavelet(MorseParams(0, 2))
 
     def test_lognormal_close_to_small_gamma_member(self):
         # the gamma->0 member at fixed duration tends to the lognormal shape
@@ -370,6 +388,11 @@ class TestConcentrationCrossing:
 
 
 class TestBesselFit:
+    @pytest.mark.parametrize("n_beta, n_gamma", [(1, 2), (2, 1), (0, 0)])
+    def test_grid_below_2x2_rejected(self, n_beta, n_gamma):
+        with pytest.raises(ValueError, match="^need at least a 2x2 grid$"):
+            BesselFitGrid(n_beta=n_beta, n_gamma=n_gamma)
+
     def test_small_grid_finds_the_basin(self):
         res = bessel_fit(
             BesselFitGrid(beta_lo=5, beta_hi=50, gamma_lo=0.03, gamma_hi=0.5,

@@ -87,6 +87,24 @@ class TestScaleGrid:
         with pytest.raises(ValueError, match="p0 must be at least 1"):
             scale_grid(1024, P93, p0=float("nan"))
 
+    def test_signal_of_one_sample(self):
+        with pytest.raises(ValueError, match="^signal too short$"):
+            scale_grid(1, P93)
+
+    @pytest.mark.parametrize("scales", [[], [[1.0, 2.0]], [2.0, 1.0], [1.0, 1.0],
+                                        [0.0, 1.0], [-1.0, 1.0]])
+    def test_hand_built_scales_checked(self, scales):
+        with pytest.raises(ValueError, match="^scales must be "):
+            ScaleGrid(np.array(scales), P93, 0.1, 5.0, 4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_hand_built_grid_with_overflowing_peak(self):
+        # w_p = 1000**1000: a transform on this grid could only return zeros
+        with pytest.raises(ValueError, match=(
+            r"^peak frequency \(beta/gamma\)\*\*\(1/gamma\) overflows double range "
+        )):
+            ScaleGrid(np.array([1.0, 2.0]), MorseParams(1, 0.001), 0.1, 5.0, 4)
+
     def test_physical_frequencies(self):
         grid = scale_grid(1024, P93)
         freqs = grid.peak_frequencies(dt=0.01)
@@ -518,6 +536,14 @@ class TestRidgeCheck:
         res = transform(sig, grid)
         with pytest.raises(ValueError, match="band"):
             ridge_frequency_check(res, math.pi)
+
+    def test_wrong_tone_frequency_rejected(self):
+        # the ridge sits at the tone's scale, which is not the one a tone
+        # at 1.5 w0 would give
+        sig, w0 = _tone()
+        res = transform(sig, scale_grid(1024, P93, density=16))
+        with pytest.raises(ValueError, match="misses the predicted scale by more than one grid step"):
+            ridge_frequency_check(res, 1.5 * w0)
 
     def test_chirp_rejected(self):
         n = 1024
