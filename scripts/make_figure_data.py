@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
 """Regenerate all figure data products into ./figure_data/.
 
-Runs the four CLI exports at their default resolutions:
+Runs the five CLI exports at their default resolutions:
 
-  map      parameter-space Heisenberg-area map, zero-skewness curve,
-           localization border, constant-duration diagonals
-  gallery  time/frequency wavelet gallery over beta, gamma in
-           {1/3, 1, 3, 9, 27} with Gaussian/quartic approximants
-  curves   inverse Heisenberg area and Gaussian similarity vs duration
-           for gamma = 1..6 and the Morlet wavelet
-  limits   lognormal- and band-pass-limit sup deviations
+  map        parameter-space Heisenberg-area map, zero-skewness curve,
+             localization border, constant-duration diagonals
+  gallery    time/frequency wavelet gallery over beta, gamma in
+             {1/3, 1, 3, 9, 27} with Gaussian/quartic approximants
+  besselfit  the Morse member closest to the Bessel wavelet: the 100x100
+             grid scan over beta 1..50, gamma 0.02..2, its refinement, and
+             the trace of every evaluation
+  curves     inverse Heisenberg area and Gaussian similarity vs duration
+             for gamma = 1..6 and the Morlet wavelet
+  limits     lognormal- and band-pass-limit sup deviations
 
-Takes about 0.35 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): map,
-gallery and curves about 0.08 s each, the limits well under 0.01 s, and
-start-up and import about 0.1 s.  None of the four commands needs scipy,
-and none imports it.  The map's area table is formatted by forked worker
-processes, one per CPU; everything else runs in one thread.
+Takes about 0.36 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): map,
+gallery and curves about 0.07 s each, besselfit about 0.05 s, the limits
+well under 0.01 s, and start-up and import about 0.1 s.  None of the five
+commands needs scipy, and none imports it.  The map's area table and the
+Bessel-fit trace are formatted by forked worker processes, one per CPU;
+everything else runs in one thread.
 """
 
 import sys
@@ -38,6 +42,7 @@ def run(label, argv):
 if __name__ == "__main__":
     run("map", ["map", "--out", str(OUT / "map")])
     run("gallery", ["gallery", "--out", str(OUT / "gallery")])
+    run("besselfit", ["besselfit", "--out", str(OUT / "besselfit")])
     run(
         "curves",
         ["curves", "--out", str(OUT / "curves"), "--pgrid", "0.5:0.05:8"],

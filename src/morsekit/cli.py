@@ -11,22 +11,22 @@ Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
 undefined cells blank.  One writer serves every command: CSV tables are
 written one row at a time, or, for a float array such as the `map` area
-table and the `cwt` coefficients, one block of at most ``_FORMAT_CELLS``
-cells at a time by ``_write_lines``; every float of a block goes through
-a single repr of a list, as do the `cwt` JSON coefficients, a block of
-rows at a time.  A run holds its results plus one formatted block, never
-the whole text.
+table, the `besselfit` trace and the `cwt` coefficients, one block of at
+most ``_FORMAT_CELLS`` cells at a time by ``_write_lines``; every float of
+a block goes through a single repr of a list, as do the `cwt` JSON
+coefficients, a block of rows at a time.  A run holds its results plus
+one formatted block, never the whole text.
 
 ``_write_lines`` has any table of more than one block of rows (the `map`
-area table, the `cwt` CSV, each part of the `cwt` JSON coefficients)
-formatted by forked worker processes, one per CPU the transform's threads
-use: worker k of W formats blocks k, k + W, k + 2W, ... with the same
-block formatter and sends them as length-prefixed records through a
-buffered file on its own pipe, and the parent copies the blocks to the
-output in row order, at most 64 KB at a time.  The parent then holds one
-such piece and each worker one block of text; the bytes are those of the
-in-process writer.  One block, one CPU, or no ``os.fork`` writes
-in-process.
+area table, the default `besselfit` trace, the `cwt` CSV, each part of the
+`cwt` JSON coefficients) formatted by forked worker processes, one per CPU
+the transform's threads use: worker k of W formats blocks k, k + W,
+k + 2W, ... with the same block formatter and sends them as
+length-prefixed records through a buffered file on its own pipe, and the
+parent copies the blocks to the output in row order, at most 64 KB at a
+time.  The parent then holds one such piece and each worker one block of
+text; the bytes are those of the in-process writer.  One block, one CPU,
+or no ``os.fork`` writes in-process.
 """
 
 from __future__ import annotations
@@ -219,11 +219,11 @@ def _fork() -> int:
     # The parent may have threads (numpy's BLAS pool), so Python 3.12+
     # warns that fork may deadlock the child.  `transform` starts no
     # pocketfft pool, and its own row threads are joined before it returns,
-    # so none runs when `cwt` forks; `map` runs no threads of its own.  The
-    # child only copies blocks of a float table with elementwise numpy
-    # calls (no BLAS), formats their floats, writes to its pipe and leaves
-    # through os._exit; it takes no lock a thread may hold, and the BLAS
-    # pool re-arms through its own pthread_atfork handler.
+    # so none runs when `cwt` forks; `map` and `besselfit` run no threads
+    # of their own.  The child only copies blocks of a float table with
+    # elementwise numpy calls (no BLAS), formats their floats, writes to its
+    # pipe and leaves through os._exit; it takes no lock a thread may hold,
+    # and the BLAS pool re-arms through its own pthread_atfork handler.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
@@ -634,7 +634,7 @@ def cmd_besselfit(args: argparse.Namespace) -> int:
             args,
             "besselfit_trace",
             ("beta", "gamma", "alpha_sq"),
-            res.grid_trace,
+            np.array(res.grid_trace, dtype=float),
             meta={
                 "best_beta": res.best_params.beta,
                 "best_gamma": res.best_params.gamma,

@@ -8,19 +8,20 @@ gamma -> inf, and the analytic filter at (0, 0).  The Morlet and Bessel
 wavelets sit outside the family; the Bessel wavelet is nevertheless
 approximated to alpha^2 ~ 0.9995 near (beta, gamma) = (22, 1/10), which
 `bessel_fit` recovers by grid search plus pattern-search refinement (compass
-and diagonal moves).  The fit scores whole rows of the grid at once with
-closed-form self-energies and a trapezoid in ln(omega) for the cross
-integral, whose step each member halves until two successive sums agree;
-`_morse_rho_sq` scores Gaussian similarity the same way on a whole grid,
-and `_morlet_area_and_rho_sq` gives the Morlet's area and similarity from
-Gaussian integrals in closed form.  The Morlet's peak frequency, and its
-nu at a given duration, are roots of monotone functions found by the array
-bisection `core._bisect`, the package's one root finder.  The
-double-exponential quadrature behind `similarity_alpha_sq` and
-`gaussianity_rho_sq` (`props.quadrature_integral`) stays the oracle.
-Growing beta at fixed gamma shrinks the relative bandwidth
-sigma_omega/omega_peak toward zero, so in that corner the members tend to
-pure complex exponentials (a diagnostic, not a constructible member).
+and diagonal moves).  The fit scores whole rows of the grid, and each
+poll's remaining moves, at once with closed-form self-energies and a
+trapezoid in ln(omega) for the cross integral, whose step each member
+halves until two successive sums agree; `_morse_rho_sq` scores Gaussian
+similarity the same way on a whole grid, and `_morlet_area_and_rho_sq`
+gives the Morlet's area and similarity from Gaussian integrals in closed
+form.  The Morlet's peak frequency, and its nu at a given duration, are
+roots of monotone functions found by the array bisection `core._bisect`,
+the package's one root finder.  The double-exponential quadrature behind
+`similarity_alpha_sq` and `gaussianity_rho_sq`
+(`props.quadrature_integral`) stays the oracle.  Growing beta at fixed
+gamma shrinks the relative bandwidth sigma_omega/omega_peak toward zero, so
+in that corner the members tend to pure complex exponentials (a
+diagnostic, not a constructible member).
 
 Cross-family comparisons put every spectrum on a common footing: peak
 value 2, and for Morse members a frequency axis rescaled so the peak sits
@@ -580,7 +581,7 @@ def _log_rescaled_energy_one(b: float, g: float) -> float:
 
 def _log_rescaled_energy(b, g):
     """`_log_rescaled_energy_one` on 1-d arrays of beta and gamma.  The rules
-    below score one fit point or one grid row per call, so a loop over
+    below score one grid row or one poll per call, so a loop over
     floats costs less here than a chain of array operations."""
     return np.fromiter(map(_log_rescaled_energy_one, b.tolist(), g.tolist()), float, len(b))
 
@@ -693,6 +694,19 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
     sums agree, so a row scores its points as single calls would.  The
     double-exponential quadrature behind `similarity_alpha_sq` is the
     oracle the tests hold it to.
+
+    The refinement scores a poll's remaining moves, those that clipping to
+    the box does not leave at x, in one call, and walks the scores in move
+    order.  At the first improvement it moves x, drops the rest of the
+    batch, and scores the moves after it from the new x in a new call.
+    Since a batch scores each point as a single call would, the trace, the
+    best point and alpha^2 are those of scoring one move at a time.  A
+    dropped move may be one that search never scores.  It lies inside the
+    box, where the rule raises `QuadratureError` once the spectrum is
+    narrower than its finest step, and the largest-P corner (beta_hi,
+    gamma_hi), which the coarse scan has already scored, raises first.
+    The one exception is beta from about 7e5 on, where rounding in the log
+    shape can keep two sums of a single point more than 1e-10 apart.
     """
     if grid is None:
         grid = BesselFitGrid()
@@ -721,16 +735,23 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
     )
     while step >= 1e-3:
         improved = False
-        for move in _MOVES:
-            cand = np.clip(x + step * move, log_lo, log_hi)
-            if np.array_equal(cand, x):
-                continue
-            b, g = float(np.exp(cand[0])), float(np.exp(cand[1]))
-            a2 = _bessel_alpha_sq(b, g)
-            trace.append((b, g, a2))
-            if a2 > fx:
-                x, fx = cand, a2
-                improved = True
+        first = 0  # the poll's moves from `first` on are still to be scored
+        while first < len(_MOVES):
+            cands = np.clip(x + step * _MOVES[first:], log_lo, log_hi)
+            # the moves that clipping to the box does not leave at x
+            moved = np.flatnonzero((cands != x).any(axis=1)).tolist()
+            if not moved:
+                break
+            b = [float(np.exp(cands[k, 0])) for k in moved]
+            g = [float(np.exp(cands[k, 1])) for k in moved]
+            start, first = first, len(_MOVES)
+            for k, bk, gk, a2 in zip(moved, b, g, _bessel_alpha_sq(b, g).tolist()):
+                trace.append((bk, gk, a2))
+                if a2 > fx:
+                    # the rest of this batch was scored from the old x
+                    x, fx, improved = cands[k], a2, True
+                    first = start + k + 1
+                    break
         if not improved:
             step *= 0.5
 

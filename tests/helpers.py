@@ -105,3 +105,49 @@ def reference_transform(samples, grid, normalization="bandpass_n1", boundary="pe
             row = row * math.sqrt(s)
         coeffs[:, j] = row[left : left + n]
     return coeffs
+
+
+def reference_bessel_fit(grid):
+    """`bessel_fit` as a one-move-at-a-time pattern search: the coarse scan
+    row by row, then one `_bessel_alpha_sq` call per poll move, each from
+    the x that the moves before it left.  Returns the best (beta, gamma),
+    alpha^2, the trace, and how many moves clipping to the box left at x
+    (skipped, never scored): the plain loop that the batched poll must
+    match bit for bit."""
+    import numpy as np
+
+    from morsekit.superfamily import _bessel_alpha_sq
+
+    betas = np.geomspace(grid.beta_lo, grid.beta_hi, grid.n_beta)
+    gammas = np.geomspace(grid.gamma_lo, grid.gamma_hi, grid.n_gamma)
+    trace = []
+    best = (-1.0, grid.beta_lo, grid.gamma_lo)
+    for b in betas:
+        for g, a2 in zip(gammas, _bessel_alpha_sq(b, gammas)):
+            trace.append((float(b), float(g), float(a2)))
+            if a2 > best[0]:
+                best = (float(a2), float(b), float(g))
+
+    log_lo = np.log(np.array([grid.beta_lo, grid.gamma_lo]))
+    log_hi = np.log(np.array([grid.beta_hi, grid.gamma_hi]))
+    x = np.log(np.array([best[1], best[2]]))
+    fx = best[0]
+    step = float(max(np.log(betas[1] / betas[0]), np.log(gammas[1] / gammas[0])))
+    moves = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    clipped = 0
+    while step >= 1e-3:
+        improved = False
+        for move in np.array(moves, dtype=float):
+            cand = np.clip(x + step * move, log_lo, log_hi)
+            if np.array_equal(cand, x):
+                clipped += 1
+                continue
+            b, g = float(np.exp(cand[0])), float(np.exp(cand[1]))
+            a2 = _bessel_alpha_sq(b, g)
+            trace.append((b, g, a2))
+            if a2 > fx:
+                x, fx = cand, a2
+                improved = True
+        if not improved:
+            step *= 0.5
+    return (float(np.exp(x[0])), float(np.exp(x[1]))), fx, trace, clipped

@@ -4,7 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import morlet_sigma_omega_closed_form, morlet_sigma_t_closed_form
+from helpers import (
+    morlet_sigma_omega_closed_form,
+    morlet_sigma_t_closed_form,
+    reference_bessel_fit,
+)
 from morsekit.core import MorseParams, eval_spectrum
 from morsekit.props import QuadratureError, quadrature_moment
 from morsekit.superfamily import (
@@ -433,6 +437,30 @@ class TestBesselFit:
         assert abs(res.best_params.beta - 22.0) <= 2.0
         assert abs(res.best_params.gamma - 0.10) <= 0.02
 
+    @pytest.mark.parametrize(
+        "grid, clips",
+        [
+            pytest.param(BesselFitGrid(n_beta=2, n_gamma=2), False, id="2x2"),
+            pytest.param(BesselFitGrid(beta_lo=2, beta_hi=8, gamma_lo=0.1, gamma_hi=1.0,
+                                       n_beta=4, n_gamma=3), False, id="row-major-4x3"),
+            *(pytest.param(BesselFitGrid(n_beta=n, n_gamma=n), False, id=f"default-{n}x{n}")
+              for n in (12, 16, 20, 22, 24)),
+            # the fit ends on the gamma = 1 edge, where clipped moves are skipped
+            pytest.param(BesselFitGrid(beta_lo=1, beta_hi=50, gamma_lo=1.0, gamma_hi=2.0,
+                                       n_beta=12, n_gamma=8), True, id="edge-clipped-12x8"),
+            pytest.param(BesselFitGrid(beta_lo=1, beta_hi=5000, gamma_lo=0.02, gamma_hi=20,
+                                       n_beta=9, n_gamma=9), False, id="wide-9x9"),
+        ],
+    )
+    def test_batched_poll_equals_the_one_move_search(self, grid, clips):
+        best, alpha_sq, trace, clipped = reference_bessel_fit(grid)
+        res = bessel_fit(grid)
+        assert res.grid_trace == trace
+        assert (res.best_params.beta, res.best_params.gamma) == best
+        assert res.alpha_sq == alpha_sq
+        if clips:
+            assert clipped > 0
+
     def test_fit_does_not_call_the_quadrature_oracle(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("bessel_fit called the quadrature oracle")
@@ -509,6 +537,22 @@ class TestBesselAlphaSqRule:
             evaluations.append(0)
             assert abs(_bessel_alpha_sq(5000.0, float(g)) - a2) <= 1e-15
         assert len(set(evaluations)) >= 5, evaluations
+
+    def test_batch_calls_equal_scalar_calls_bit_for_bit(self):
+        # the batched poll of bessel_fit rests on this: any set of points
+        # scored in one call gets the bits each gets alone
+        rng = np.random.default_rng(20261019)
+        betas = np.exp(rng.uniform(np.log(0.5), np.log(5000.0), 300))
+        gammas = np.exp(rng.uniform(np.log(0.02), np.log(20.0), 300))
+        batch = _bessel_alpha_sq(betas, gammas)
+        scalar = [_bessel_alpha_sq(float(b), float(g)) for b, g in zip(betas, gammas)]
+        assert np.array_equal(batch, scalar)
+
+        betas, gammas = betas[:20], gammas[20:40]
+        grid = _bessel_alpha_sq(betas[:, None], gammas)
+        assert grid.shape == (20, 20)
+        scalar = [[_bessel_alpha_sq(float(b), float(g)) for g in gammas] for b in betas]
+        assert np.array_equal(grid, scalar)
 
     @pytest.mark.parametrize("rule", [_bessel_alpha_sq, _morse_rho_sq])
     def test_spectrum_narrower_than_the_finest_level_raises(self, rule):
