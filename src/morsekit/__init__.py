@@ -21,6 +21,7 @@ from .core import (
     eval_spectrum,
     expansion_coeffs,
     half_power_frequency,
+    log_amplitude_constant,
     log_spectrum_derivatives,
     peak_frequency,
     rescaled_log_spectrum_derivatives,

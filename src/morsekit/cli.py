@@ -418,6 +418,8 @@ def cmd_gallery(args: argparse.Namespace) -> int:
     n = 511  # odd: symmetric time grid, and the frequency grid hits 1 exactly
     # every pair is checked before the first file is written
     pairs = [MorseParams(b, g) for b in betas for g in gammas]
+    for p in pairs:
+        _TRANSFORM._checked_peak_frequency(p)
 
     index_rows = []
     for p in pairs:

@@ -164,8 +164,12 @@ def log_amplitude_constant(p: MorseParams) -> float:
 def amplitude_constant(p: MorseParams) -> float:
     """Amplitude constant a with peak spectral value 2; equals 2 at beta = 0.
 
-    May overflow to inf for extreme (beta, gamma); spectrum evaluation never
-    forms it explicitly (see log_amplitude_constant).
+    With q = beta/gamma, ln a = ln 2 + q (1 - ln q) is at most ln 2 + 1,
+    so a never overflows; but it underflows, to a subnormal and then to
+    0.0, once q exceeds about 178 (ln a < -745.13): at beta = 300,
+    gamma = 1 it is exp(-1410.44), returned as 0.0.  Spectrum evaluation
+    never forms it explicitly; log_amplitude_constant gives ln a, finite
+    wherever beta/gamma is finite.
     """
     return float(np.exp(log_amplitude_constant(p)))
 

@@ -16,16 +16,27 @@ The filter bank runs one scale row per task on as many threads as the
 process may use CPUs, the calling thread among them.  A row's filter is
 evaluated only on the bins below the frequency where the Morse spectrum
 underflows to exactly 0 (found once per transform), multiplied into the
-row, and the row is inverted by a one-thread inverse FFT, cropped and
-scaled into the output by the same thread.  The rows are stored
-scale-major, so the time x scale ``CwtResult.coefficients`` is a
-Fortran-ordered view.  Memory is the output, plus one padded row per
-thread for the non-periodic boundaries (periodic rows are inverted in
-place in the output), plus O(m) per thread for the filter.  The
-coefficients are bitwise those of one full-length filter and one inverse
-FFT per scale, whatever the thread count.  The inverse is
-`scipy.fft.ifft`, imported by the first transform: no other part of the
-package needs scipy, so importing it loads no scipy module.
+row, and the row is inverted by one-thread transforms, cropped and scaled
+into the output by the same thread.  The rows are stored scale-major, so
+the time x scale ``CwtResult.coefficients`` is a Fortran-ordered view.
+
+The non-periodic boundaries pad to m = next_pow2(2n) samples.  When m is
+exactly 2n (every power-of-two n), the mirror buffer is one period of the
+half-sample symmetric extension [x, x[::-1]], shifted by n/2.  Its DFT is
+then a phase times the DCT-II of x, and a row cropped to the record is a
+DCT-III plus i times a DST-III, both of length n and real for a real
+signal (Martucci 1994; Makhoul 1980): no padding and no complex row.  For
+other n the buffer is not one period of the extension, so those mirror
+rows, like the zero-padded ones, are the padded spectrum's inverse FFTs.
+
+Memory is the output, plus per thread one padded complex row (zero, and
+mirror at other n), two real length-n rows (mirror at power-of-two n;
+complex for a complex signal) or nothing (periodic rows are inverted in
+place in the output), plus O(m) per thread for the filter.  The coefficients are
+bitwise those of a plain loop of the same per-scale formula, whatever the
+thread count.  The DCT, DST and inverse FFTs are `scipy.fft`'s, imported
+by the first transform: no other part of the package needs scipy, so
+importing it loads no scipy module.
 """
 
 from __future__ import annotations
@@ -224,13 +235,13 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def _run_rows(n_rows: int, run_row, scratch_len: int | None):
+def _run_rows(n_rows: int, run_row, make_scratch=None):
     """Call ``run_row(j, scratch)`` once for each j in range(n_rows) on
     min(_FFT_WORKERS, n_rows) threads, the calling thread among them.  Each
-    thread takes the next row until none is left, passing a complex scratch
-    row of ``scratch_len`` bins of its own (None if scratch_len is None).
-    The first error stops every thread from taking another row; once all
-    are joined, it is raised in the caller."""
+    thread takes the next row until none is left, passing scratch of its
+    own from ``make_scratch()`` (None if make_scratch is None).  The first
+    error stops every thread from taking another row; once all are joined,
+    it is raised in the caller."""
     todo = iter(range(n_rows))
     lock = threading.Lock()
     errors = []
@@ -241,7 +252,7 @@ def _run_rows(n_rows: int, run_row, scratch_len: int | None):
 
     def work():
         try:
-            scratch = None if scratch_len is None else np.empty(scratch_len, complex)
+            scratch = None if make_scratch is None else make_scratch()
             while (j := take()) is not None:
                 run_row(j, scratch)
         except BaseException as exc:  # re-raised in the caller
@@ -279,20 +290,31 @@ def transform(
     sqrt(scale).  Only nonnegative DFT bins contribute (the wavelet is
     analytic); at the Nyquist bin the spectrum is evaluated on the
     positive side.  Non-periodic boundaries pad to the next power of two
-    at or above twice the length, zero in 'zero' mode and even reflection
-    in 'mirror' mode, and crop after inversion.
+    m at or above twice the length, zero in 'zero' mode and even
+    reflection in 'mirror' mode, and crop after inversion.
+
+    Where m is exactly 2n (every power-of-two n), the mirror buffer is one
+    period of the half-sample symmetric extension [x, x[::-1]].  Those rows
+    are computed without padding: with D the DCT-II of x and R = D Psi(s
+    pi k/n) on k < n (the extension's spectrum is 0 at the Nyquist bin),
+    the cropped row is (DCT-III(R) + i DST-III(b)) / 4n, where b[k] =
+    R[k+1].  DCT-III halves bin 0, which needs no correction because
+    Psi(0) = 0.  At other n the buffer is not one period of the extension,
+    so mirror rows are inverse FFTs of the padded spectrum, as zero rows
+    are; the two differ by a few 1e-4 of a column's maximum.
 
     Each row's filter is evaluated only below the frequency where the
     spectrum underflows to exactly 0.  Every scale row is one task:
     _FFT_WORKERS threads (every CPU the process may use, the calling thread
     among them) each take the next row, evaluate its filter, invert it with
-    a one-thread FFT and write it, cropped and scaled, to the output.  Rows
-    are written scale-major, so ``coefficients`` is a Fortran-ordered
-    time x scale view.  Beyond the output the transform holds one padded
-    row per thread for the non-periodic boundaries (periodic rows are
-    inverted in place in the output) and O(m) per thread for the filter.
-    An error in any row stops the others and is raised here once every
-    thread has ended.  The coefficients do not depend on the thread count.
+    one-thread transforms and write it, cropped and scaled, to the output.
+    Rows are written scale-major, so ``coefficients`` is a Fortran-ordered
+    time x scale view.  Beyond the output the transform holds per thread
+    one padded complex row (zero, and mirror at other n), two length-n
+    rows (mirror at power-of-two n) or none (periodic rows are inverted in
+    place in the output), and O(m) per thread for the filter.  An error in
+    any row stops the others and is raised here once every thread has
+    ended.  The coefficients do not depend on the thread count.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -302,16 +324,8 @@ def transform(
 
     sig = np.asarray(x.samples)
     n = len(sig)
-    if boundary == "periodic":
-        buf, offset = sig, 0
-    else:
-        m = _next_pow2(2 * n)
-        left = (m - n) // 2
-        right = m - n - left
-        mode = "constant" if boundary == "zero" else "symmetric"
-        buf = np.pad(sig, (left, right), mode=mode)
-        offset = left
-    m = len(buf)
+    m = n if boundary == "periodic" else _next_pow2(2 * n)
+    symmetric = boundary == "mirror" and m == 2 * n
 
     # Psi is exactly 0 at and above w_zero (the margin covers rounding in
     # the bin counts), so a row gets filter values only on the nonnegative
@@ -319,21 +333,35 @@ def transform(
     w_zero = _flank_frequency(grid.params, 0.0) * (1.0 + 1e-9)
     scales = grid.scales
     supports = np.ceil(w_zero * m / (2.0 * np.pi * scales))
-    supports = np.minimum(supports, m // 2 + 1).astype(int)
-    spectrum = np.fft.fft(buf)[: supports.max()].copy()  # the bins any row uses
-    del buf
+    supports = np.minimum(supports, n if symmetric else m // 2 + 1).astype(int)
+    if symmetric:
+        # D[k] = 2 sum_t x_t cos(pi k (2t+1) / 2n): bin k of the DFT of
+        # [x, x[::-1]] is exp(i pi k / 2n) D[k], and D[n] = 0.  D is taken in
+        # double precision: in float32, a single-precision signal's rows
+        # would lose ten times what its padded complex64 FFT does
+        wide = sig.astype(np.promote_types(sig.dtype, float), copy=False)
+        spectrum = scipy.fft.dct(wide, type=2)[: supports.max()]
+    else:
+        offset = (m - n) // 2
+        mode = "constant" if boundary == "zero" else "symmetric"
+        buf = sig if m == n else np.pad(sig, (offset, m - n - offset), mode=mode)
+        spectrum = np.fft.fft(buf)[: supports.max()].copy()  # the bins any row uses
+        del buf
     omega_pos = 2.0 * np.pi * np.arange(len(spectrum)) / m
     unitary = normalization == "unitary_n_half"
 
     out = np.empty((len(scales), n), dtype=complex)
 
-    def run_row(j, scratch):
-        # periodic rows are inverted in place in the output
-        row = out[j] if scratch is None else scratch
+    def filter_into(row, j):
         k = supports[j]
         filt = eval_spectrum(grid.params, scales[j] * omega_pos[:k])
         np.multiply(spectrum[:k], filt, out=row[:k])
         row[k:] = 0.0
+
+    def run_row(j, scratch):
+        # periodic rows are inverted in place in the output
+        row = out[j] if scratch is None else scratch
+        filter_into(row, j)
         inverse = scipy.fft.ifft(row, overwrite_x=True, workers=1)
         cropped = inverse[offset : offset + n]
         if unitary:
@@ -341,7 +369,32 @@ def transform(
         elif not np.may_share_memory(cropped, out[j]):  # periodic: already in place
             out[j] = cropped
 
-    _run_rows(len(scales), run_row, None if boundary == "periodic" else m)
+    def run_symmetric_row(j, scratch):
+        # with R the filtered DCT-II, row t is the sum over k < n of
+        # R[k] exp(i pi k (2t+1) / 2n) / 2n: its cosine part is DCT-III(R) / 2
+        # (DCT-III halves bin 0, where R is 0 as Psi(0) is), its sine part
+        # DST-III(b) / 2 with b[k] = R[k+1]
+        a, b = scratch
+        filter_into(a, j)
+        b[:-1] = a[1:]
+        b[-1] = 0.0
+        cos = scipy.fft.dct(a, type=3, overwrite_x=True, workers=1)
+        sin = scipy.fft.dst(b, type=3, overwrite_x=True, workers=1)
+        gain = (np.sqrt(scales[j]) if unitary else 1.0) / (4 * n)
+        row = out[j]
+        if np.iscomplexobj(cos):  # cos + i sin, part by part
+            np.subtract(cos.real, sin.imag, out=row.real)
+            np.add(cos.imag, sin.real, out=row.imag)
+            row *= gain
+        else:
+            np.multiply(cos, gain, out=row.real)
+            np.multiply(sin, gain, out=row.imag)
+
+    if symmetric:
+        _run_rows(len(scales), run_symmetric_row, lambda: np.empty((2, n), spectrum.dtype))
+    else:
+        _run_rows(len(scales), run_row,
+                  None if boundary == "periodic" else lambda: np.empty(m, complex))
 
     return CwtResult(
         coefficients=out.T,

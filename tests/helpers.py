@@ -79,9 +79,41 @@ def log_trapezoid_integral(f, lo: float, hi: float, n: int = 200001) -> float:
 
 
 def reference_transform(samples, grid, normalization="bandpass_n1", boundary="periodic"):
+    """Time x scale coefficients from a plain one-scale-at-a-time loop with a
+    full-length filter per scale: the loop that the threaded filter bank
+    must match bit for bit.  Mirror rows of a power-of-two length are a
+    DCT-III/DST-III pair of length n; every other row is one numpy inverse
+    FFT of the padded spectrum (`padded_reference_transform`)."""
+    import numpy as np
+    import scipy.fft
+
+    from morsekit.core import eval_spectrum
+
+    sig = np.asarray(samples)
+    n = len(sig)
+    if boundary != "mirror" or n & (n - 1):
+        return padded_reference_transform(samples, grid, normalization, boundary)
+    # D[k] = 2 sum_t x_t cos(pi k (2t+1) / 2n); the row is
+    # sum_{k<n} D[k] Psi(s pi k / n) exp(i pi k (2t+1) / 2n) / 2n, and
+    # a[0] is doubled because DCT-III halves bin 0
+    spectrum = scipy.fft.dct(sig.astype(np.promote_types(sig.dtype, float)), type=2)
+    omega = 2.0 * np.pi * np.arange(n) / (2 * n)
+    coeffs = np.empty((n, len(grid.scales)), dtype=complex)
+    for j, s in enumerate(grid.scales):
+        r = spectrum * eval_spectrum(grid.params, s * omega)
+        a = r.copy()
+        a[0] *= 2.0
+        b = np.append(r[1:], 0.0)
+        gain = (math.sqrt(s) if normalization == "unitary_n_half" else 1.0) / (4 * n)
+        coeffs[:, j] = (scipy.fft.dct(a, type=3) + 1j * scipy.fft.dst(b, type=3)) * gain
+    return coeffs
+
+
+def padded_reference_transform(samples, grid, normalization="bandpass_n1",
+                               boundary="periodic"):
     """Time x scale coefficients from one full-length filter and one numpy
-    inverse FFT per scale: the plain loop that the threaded filter bank
-    must match bit for bit."""
+    inverse FFT per scale of the signal padded to m = next_pow2(2n) (not
+    padded for the periodic boundary), cropped to the record."""
     import numpy as np
 
     from morsekit.core import eval_spectrum

@@ -269,6 +269,23 @@ class TestGallery:
         assert capsys.readouterr().err == "error: gamma must be finite and > 0 (got -1.0)\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta, gamma, word", [
+        ("0.5", "0.001", "overflows"),
+        ("0.5", "3,0.001", "overflows"),  # a good pair first: still no file
+        ("1e-300", "0.01", "underflows"),
+    ])
+    def test_peak_out_of_range_rejected_before_any_file(self, tmp_path, capsys, beta,
+                                                        gamma, word):
+        out = tmp_path / "gal"
+        assert run("gallery", "--beta", beta, "--gamma", gamma, "--out", str(out)) == 2
+        bad = gamma.split(",")[-1]
+        assert capsys.readouterr().err == (
+            f"error: peak frequency (beta/gamma)**(1/gamma) {word} double range "
+            f"at beta={float(beta)}, gamma={float(bad)}\n"
+        )
+        assert not out.exists()
+
     def test_out_with_suffix_is_a_directory(self, tmp_path):
         out = tmp_path / "gal.v2"
         assert run("gallery", "--beta", "3", "--gamma", "3", "--out", str(out)) == 0

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -107,6 +108,18 @@ class TestAmplitude:
     def test_beta_zero(self):
         assert amplitude_constant(MorseParams(0, 2)) == 2.0
         assert amplitude_constant(MorseParams(0, 0.5)) == 2.0
+
+    @pytest.mark.parametrize("params", [(300.0, 1.0), (1e4, 3.0), (1e6, 1e-3)])
+    def test_log_form_is_finite_where_the_constant_flushes(self, params):
+        from morsekit import log_amplitude_constant  # exported by the package
+
+        p = MorseParams(*params)
+        assert amplitude_constant(p) == 0.0
+        with mpmath.workdps(40):
+            q = mpmath.mpf(p.beta) / p.gamma
+            want = float(mpmath.log(2) + q * (1 - mpmath.log(q)))
+        got = log_amplitude_constant(p)
+        assert math.isfinite(got) and abs(got - want) <= 1e-14 * abs(want)
 
     @given(b=betas, g=gammas)
     @settings(max_examples=120, deadline=None)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.fft
-from helpers import reference_transform
+from helpers import padded_reference_transform, reference_transform
 
 from morsekit.core import MorseParams, duration, eval_spectrum, peak_frequency
 from morsekit.props import quadrature_integral
@@ -343,29 +343,46 @@ class TestBlockedTransform:
         assert np.array_equal(got, reference_transform(x, grid, normalization, boundary))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_single_thread_ifft_per_row(self, monkeypatch, workers):
-        n = 1237
+    @pytest.mark.parametrize("n", [1237, 1024])
+    def test_one_single_thread_ifft_per_row(self, monkeypatch, workers, n):
         x = _noise(n, seed=1)
         grid = scale_grid(n, P93, density=4)
         # a grid of fewer scales than workers leaves a thread without a row
         short = dataclasses.replace(grid, scales=grid.scales[:2])
         monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
         calls = []
-        # transform imports scipy.fft when it runs and looks ifft up on it
-        ifft = scipy.fft.ifft
-        monkeypatch.setattr(scipy.fft, "ifft",
-                            lambda a, **kw: calls.append((a.shape, kw["workers"]))
-                            or ifft(a, **kw))
+        lock = threading.Lock()
+
+        # transform imports scipy.fft when it runs and looks each transform up on it
+        def counted(name):
+            fn = getattr(scipy.fft, name)
+
+            def call(a, **kw):
+                with lock:
+                    calls.append((name, a.shape, kw.get("type"), kw.get("workers")))
+                return fn(a, **kw)
+
+            monkeypatch.setattr(scipy.fft, name, call)
+
+        for name in ("ifft", "dct", "dst"):
+            counted(name)
         for boundary in ("periodic", "zero", "mirror"):
-            m = n if boundary == "periodic" else 4096
+            m = n if boundary == "periodic" else 1 << (2 * n - 1).bit_length()
             for normalization in ("bandpass_n1", "unitary_n_half"):
                 for g in (grid, short):
                     calls.clear()
                     got = transform(SignalBuffer(x), g, normalization, boundary).coefficients
+                    made = sorted(calls)
+                    if boundary == "mirror" and m == 2 * n:
+                        # the forward DCT-II once, then one DCT-III/DST-III pair a row
+                        assert made == sorted([("dct", (n,), 2, None)]
+                                              + [("dct", (n,), 3, 1)] * len(g)
+                                              + [("dst", (n,), 3, 1)] * len(g))
+                    else:
+                        assert made == [("ifft", (m,), None, 1)] * len(g)
                     assert np.array_equal(
                         got, reference_transform(x, g, normalization, boundary)
                     )
-                    assert calls == [((m,), 1)] * len(g)
 
     def test_worker_count_independence(self, monkeypatch):
         n = 4096
@@ -403,6 +420,41 @@ class TestBlockedTransform:
         if params == (9.0, 3.0):
             assert sum(evaluated) < 0.6 * len(grid) * len(omega_pos)
 
+    @pytest.mark.parametrize("normalization", ["bandpass_n1", "unitary_n_half"])
+    @pytest.mark.parametrize("params", [(9.0, 3.0), (60.0, 0.3), (0.0, 2.0)])
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    @pytest.mark.parametrize("n", [2, 1024, 2048, 4096])
+    def test_power_of_two_mirror_matches_padded_fft(self, n, complex_signal, params,
+                                                    normalization):
+        # the DCT-III/DST-III rows against one inverse FFT of the padded
+        # spectrum per scale; measured: at most 1.05e-15 of a column's maximum
+        p = MorseParams(*params)
+        x = _noise(n, complex_signal, seed=7)
+        if n == 2 or p.beta == 0:
+            # hand-built grids: scale_grid rejects n = 2 and beta = 0; at
+            # n = 2 the scales put the one bin below Nyquist, pi/2, near w_p
+            wp = 1.0 if p.beta == 0 else peak_frequency(p)
+            scales = (np.geomspace(0.5, 40.0, 12) if n > 2
+                      else np.geomspace(0.5, 2.0, 8) * wp / (np.pi / 2))
+            grid = ScaleGrid(scales, p, 0.1, 5.0, 4)
+        else:
+            grid = scale_grid(n, p, density=4)
+        got = transform(SignalBuffer(x), grid, normalization, "mirror").coefficients
+        want = padded_reference_transform(x, grid, normalization, "mirror")
+        col_max = np.abs(want).max(axis=0)
+        assert np.all(col_max > 0)
+        assert np.all(np.abs(got - want).max(axis=0) <= 1e-13 * col_max)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_power_of_two_mirror_of_single_precision_runs_in_double(self, dtype):
+        n = 1024
+        x = _noise(n, dtype is np.complex64, seed=8).astype(dtype)
+        grid = scale_grid(n, P93, density=4)
+        got = transform(SignalBuffer(x), grid, boundary="mirror").coefficients
+        wide = x.astype(np.promote_types(dtype, np.float64))
+        assert np.array_equal(got, transform(SignalBuffer(wide), grid,
+                                             boundary="mirror").coefficients)
+
     @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
     def test_lowpass_member(self, boundary):
         # beta = 0 has no peak and scale_grid rejects it, but a hand-built
@@ -418,7 +470,6 @@ class TestBlockedTransform:
     def test_memory_is_output_plus_one_row_per_worker(self, monkeypatch, boundary,
                                                       workers):
         n = 4096
-        m = n if boundary == "periodic" else 2 * n
         monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
         x = _noise(n, seed=3)
         grid = scale_grid(n, P93, density=8)
@@ -428,9 +479,14 @@ class TestBlockedTransform:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # spectrum, padded signal, bin frequencies and the filter
-        # temporaries are a few dozen bytes per padded sample
-        assert peak <= res.coefficients.nbytes + workers * 16 * m + 96 * m
+        # periodic rows are inverted in place in the output; a mirror row of
+        # this power-of-two length is two real rows of n.  A row has n/2
+        # nonnegative bins (periodic) or n (mirror), and its filter
+        # temporaries take about 32 bytes a bin.  The spectrum, the bin
+        # frequencies and the signal's transform take a few dozen bytes
+        # per sample.
+        row, bins = (0, n // 2) if boundary == "periodic" else (16 * n, n)
+        assert peak <= res.coefficients.nbytes + workers * (row + 32 * bins) + 96 * n
 
 
 class _RowFailure(Exception):
@@ -467,16 +523,19 @@ class TestRowWorkers:
         # the others stopped taking rows once the fifth one failed
         assert 5 <= len(calls) < len(grid)
 
-    @pytest.mark.parametrize("boundary", ["periodic", "mirror"])
-    def test_more_threads_than_cpus_take_each_row_once(self, monkeypatch, boundary):
-        n = 1237
+    @pytest.mark.parametrize("boundary, n", [("periodic", 1237), ("mirror", 1237),
+                                             ("mirror", 1024)])
+    def test_more_threads_than_cpus_take_each_row_once(self, monkeypatch, boundary, n):
         x = _noise(n, seed=6)
         grid = scale_grid(n, P93, density=8)
         monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 8)
         calls = []
-        ifft = scipy.fft.ifft
+        # a row ends in one inverse FFT, or (mirror at power-of-two n) one DST-III
+        ifft, dst = scipy.fft.ifft, scipy.fft.dst
         monkeypatch.setattr(scipy.fft, "ifft",
                             lambda a, **kw: calls.append(1) or ifft(a, **kw))
+        monkeypatch.setattr(scipy.fft, "dst",
+                            lambda a, **kw: calls.append(1) or dst(a, **kw))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
