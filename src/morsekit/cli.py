@@ -9,13 +9,16 @@ them through one table, ``_PARSERS``.
 
 Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
-undefined cells blank.  One writer serves every command: CSV tables are
-written one row at a time, or, for a float array such as the `map` area
-table, the `besselfit` trace and the `cwt` coefficients, one block of at
-most ``_FORMAT_CELLS`` cells at a time by ``_write_lines``; every float of
-a block goes through a single repr of a list, as do the `cwt` JSON
-coefficients, a block of rows at a time.  A run holds its results plus
-one formatted block, never the whole text.
+undefined cells blank.  One writer serves every command.  Each float
+array table (the `map` area table, the `gallery` pair tables, the
+`besselfit` trace, the `limits` table and the `cwt` coefficients) is
+written one block of at most ``_FORMAT_CELLS`` cells at a time by
+``_write_lines``, every float of a block through a single repr of a list,
+as are the `cwt` JSON coefficients, a block of rows at a time.  The other
+tables (`curves` and `props`, whose rows hold blanks or integers, the
+`gallery` index, and the three short `map` lists of curves and lines) are
+written one row at a time.  A run holds its results plus one formatted
+block, never the whole text.
 
 ``_write_lines`` has any table of more than one block of rows (the `map`
 area table, the default `besselfit` trace, the `cwt` CSV, each part of the
@@ -269,8 +272,8 @@ def _read_exact(r, size: int) -> bytes:
 
 def _write_table(args: argparse.Namespace, stem: str, columns, rows,
                  meta: dict | None = None):
-    """Write one table to ``stem``'s output file (or stdout): CSV row by
-    row, or one JSON object built before the file is opened."""
+    """Write one table to ``stem``'s output file (or stdout): CSV through
+    ``_write_csv``, or one JSON object built before the file is opened."""
     meta = meta or {}
     if args.format == "csv":
         comments = [_describe(args)] + [f"{k}={_fmt(v)}" for k, v in sorted(meta.items())]
@@ -445,7 +448,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
             args,
             stem,
             GALLERY_COLUMNS,
-            zip(*(c.tolist() for c in columns)),
+            np.column_stack(columns),
             meta={"beta": b, "gamma": g, "peak_frequency": wp, "duration": pd},
         )
         index_rows.append((_out_file(args, stem).name, b, g, wp, pd))
@@ -652,7 +655,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
         args,
         "limit_deviations",
         ("gamma", "beta", "sup_deviation"),
-        [(r.gamma, r.beta, r.sup_deviation) for r in rows],
+        np.array([(r.gamma, r.beta, r.sup_deviation) for r in rows], dtype=float),
         meta={"duration": args.pvalue, "target": args.target},
     )
     return 0

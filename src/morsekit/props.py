@@ -13,7 +13,8 @@ functions wrap them.  An independent quadrature oracle
 (`quadrature_moment`, `quadrature_integral`) checks every closed form; no
 CLI command calls it.  It is one double-exponential rule: a fixed map of
 (0, inf), (0, upper) or the real line onto t, then the trapezoid rule in
-t with its step halved until two sums agree.
+t by `_halving_trapezoid`, the package's one loop that halves a step until
+two sums agree, which `superfamily`'s rule in ln w shares.
 """
 
 from __future__ import annotations
@@ -330,7 +331,6 @@ def property_summary(p: MorseParams) -> PropertySummary:
 # and 1/w are finite, and cosh(x)**2 stays below the overflow threshold.
 _DE_REACH = 230.0
 _DE_T = math.asinh(_DE_REACH / (0.5 * math.pi))
-_DE_FIRST_NODES = 48  # nodes per half of [-_DE_T, _DE_T] at the first level
 _DE_HALVINGS = 10
 
 
@@ -357,6 +357,40 @@ def quad(*args, **kwargs):
     return scipy_quad(*args, **kwargs)
 
 
+def _halving_trapezoid(sums, n_cells: int, lo: float, hi: float, h: float,
+                       rtol: float, halvings: int, what: str, check=None):
+    """Trapezoid sums over [lo, hi] of ``n_cells`` integrands, each halving
+    its step until two successive sums agree: the package's one halving
+    loop, under the oracle below and `superfamily`'s rule in ln w.
+
+    ``sums(cells, x)`` gives each cell's sum over the nodes x, for an index
+    array of cells.  The nodes are the multiples of h in [lo, hi]; a halving
+    evaluates only the new odd ones.  A cell stops at the first level where
+    |fine - previous| <= rtol |fine| (never on nan), so its value does not
+    depend on which cells share the call.  ``check(h, total)`` runs before
+    each halving.  Raises QuadratureError, naming the rule ``what``, if a
+    cell has not converged after ``halvings`` halvings.
+    """
+    cells = np.arange(n_cells)
+    total = h * sums(cells, h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1))
+    for _ in range(halvings):
+        if check is not None:
+            check(h, total)
+        h *= 0.5
+        odd = h * np.arange(math.ceil(lo / h) | 1, math.floor(hi / h) + 1, 2)
+        previous = total[cells]
+        total[cells] = fine = 0.5 * previous + h * sums(cells, odd)
+        unconverged = ~(np.abs(fine - previous) <= rtol * np.abs(fine))
+        previous, cells = previous[unconverged], cells[unconverged]
+        if cells.size == 0:
+            return total
+    raise QuadratureError(
+        f"{what}: no convergence after {halvings} halvings in "
+        f"{cells.size} of {n_cells} cells; the last two sums of the first are "
+        f"{previous[0]:.12e} and {total[cells[0]]:.12e}"
+    )
+
+
 def quadrature_integral(
     f, full_line: bool = False, hard_upper: float | None = None, rtol: float = 1e-10
 ) -> float:
@@ -365,13 +399,13 @@ def quadrature_integral(
 
     A fixed map carries the interval onto t: exp-sinh on (0, inf),
     sinh-sinh centred at w = 1 on the real line, tanh-sinh on
-    (0, hard_upper).  The trapezoid rule sums f(w(t)) w'(t) over t in
-    [-5.68, 5.68], halving the step until two successive sums agree to
-    ``rtol``.  The maps suit integrands that live near unit frequency,
-    where every named spectrum peaks or ends, and absorb integrable power
-    singularities at the ends of the interval.  ``f`` must take arrays.
-    The caller must split the interval at a jump inside it, across which
-    the sums do not converge.
+    (0, hard_upper).  `_halving_trapezoid` sums f(w(t)) w'(t) over t in
+    [-5.68, 5.68] from step 5.68/48 until two sums agree to ``rtol``.  The
+    maps suit integrands that live near unit frequency, where every named
+    spectrum peaks or ends, and absorb integrable power singularities at
+    the ends of the interval.  ``f`` must take arrays.  The caller must
+    split the interval at a jump inside it, across which the sums do not
+    converge.
 
     Raises QuadratureError if the sums still disagree after 10 halvings,
     if the end nodes carry more than ``rtol`` of the sum (the integrand
@@ -381,38 +415,30 @@ def quadrature_integral(
     """
     if full_line and hard_upper is not None:
         raise ValueError("full_line and hard_upper exclude each other")
+    ends = None  # |f w'| at t = -+_DE_T, the first level's end nodes
 
-    def values(t):
+    def sums(cells, t):
+        nonlocal ends
         with np.errstate(all="ignore"):
             w, jac = _de_map(t, full_line, hard_upper)
             y = np.asarray(f(w), dtype=float) * jac
         bad = ~np.isfinite(y)
         if np.any(bad):
             raise QuadratureError(f"integrand is not finite at w = {w[bad][0]:.6g}")
-        return y
+        if ends is None:
+            ends = abs(y[0]) + abs(y[-1])
+        return np.sum(y, keepdims=True)
 
-    n = _DE_FIRST_NODES
-    h = _DE_T / n
-    y = values(h * np.arange(-n, n + 1))
-    ends = abs(y[0]) + abs(y[-1])
-    total = h * float(np.sum(y))
-    for _ in range(_DE_HALVINGS):
-        if h * ends > rtol * abs(total):
+    def check(h, total):
+        if h * ends > rtol * abs(total[0]):
             raise QuadratureError(
-                f"the end nodes carry {h * ends:.3e} of the sum {total:.6e}: "
+                f"the end nodes carry {h * ends:.3e} of the sum {total[0]:.6e}: "
                 "the integrand does not decay at the ends of the rule"
             )
-        # the new nodes are the odd multiples of the halved step
-        h *= 0.5
-        n *= 2
-        previous = total
-        total = 0.5 * previous + h * float(np.sum(values(h * np.arange(1 - n, n, 2))))
-        if abs(total - previous) <= rtol * abs(total):
-            return total
-    raise QuadratureError(
-        f"no convergence after {_DE_HALVINGS} halvings: the last two sums "
-        f"are {previous:.12e} and {total:.12e}"
-    )
+
+    h = _DE_T / 48  # _DE_T / h is exactly 48, so the end nodes are -+_DE_T
+    return float(_halving_trapezoid(sums, 1, -_DE_T, _DE_T, h, rtol, _DE_HALVINGS,
+                                    "double-exponential rule", check)[0])
 
 
 def quadrature_moment(

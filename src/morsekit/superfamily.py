@@ -9,19 +9,19 @@ wavelets sit outside the family; the Bessel wavelet is nevertheless
 approximated to alpha^2 ~ 0.9995 near (beta, gamma) = (22, 1/10), which
 `bessel_fit` recovers by grid search plus pattern-search refinement (compass
 and diagonal moves).  The fit scores whole rows of the grid, and each
-poll's remaining moves, at once with closed-form self-energies and a
-trapezoid in ln(omega) for the cross integral, whose step each member
-halves until two successive sums agree; `_morse_rho_sq` scores Gaussian
-similarity the same way on a whole grid, and `_morlet_area_and_rho_sq`
-gives the Morlet's area and similarity from Gaussian integrals in closed
-form.  The Morlet's peak frequency, and its nu at a given duration, are
-roots of monotone functions found by the array bisection `core._bisect`,
-the package's one root finder.  The double-exponential quadrature behind
-`similarity_alpha_sq` and `gaussianity_rho_sq`
-(`props.quadrature_integral`) stays the oracle.  Growing beta at fixed
-gamma shrinks the relative bandwidth sigma_omega/omega_peak toward zero, so
-in that corner the members tend to pure complex exponentials (a
-diagnostic, not a constructible member).
+poll's remaining moves, at once by `_morse_similarity`: closed-form
+self-energies and a trapezoid in ln(omega) for the cross integral, whose
+step each member halves in `props._halving_trapezoid`, the oracle's loop;
+`_morse_rho_sq` scores Gaussian similarity the same way on a whole grid,
+and `_morlet_area_and_rho_sq` gives the Morlet's area and similarity from
+Gaussian integrals in closed form.  The Morlet's peak frequency, and its
+nu at a given duration, are roots of monotone functions found by the
+array bisection `core._bisect`, the package's one root finder.  The
+double-exponential quadrature behind `similarity_alpha_sq` and
+`gaussianity_rho_sq` (`props.quadrature_integral`) stays the oracle.
+Growing beta at fixed gamma shrinks the relative bandwidth
+sigma_omega/omega_peak toward zero, so in that corner the members tend to
+pure complex exponentials (a diagnostic, not a constructible member).
 
 Cross-family comparisons put every spectrum on a common footing: peak
 value 2, and for Morse members a frequency axis rescaled so the peak sits
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .core import MorseParams, _bisect, _rescaled_log_shape, duration, eval_rescaled_spectrum
-from .props import _STIRLING_FROM, QuadratureError, _stirling_tail, quadrature_integral
+from .props import _STIRLING_FROM, _halving_trapezoid, _stirling_tail, quadrature_integral
 
 __all__ = [
     "MorletParams",
@@ -489,11 +489,13 @@ def gaussianity_rho_sq(w: NamedWavelet) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Self-sizing rules.  The cross integrals behind alpha^2 and rho^2 are
-# trapezoid sums in u = ln w of exp(ln S_m + ln S_other + u).  The rule
-# converges geometrically for these smooth integrands, which decay at both
-# ends of the window (Trefethen and Weideman, SIAM Review 56, 2014), so two
-# successive sums bound its error.  The self-energies are closed forms.
+# Self-sizing rule: `props._halving_trapezoid` in u = ln w from step 1/8.
+# So u = 0, where every spectrum here peaks, is a node on every level, and
+# a bump narrower than the step makes successive sums differ by about 2x
+# rather than agree by accident.  The rule converges geometrically for
+# these smooth integrands, which decay at both ends of the window
+# (Trefethen and Weideman, SIAM Review 56, 2014), so two successive sums
+# bound its error.
 
 _FIRST_STEP = 0.125  # node spacing in u at the first level
 _RTOL = 1e-10
@@ -501,53 +503,6 @@ _HALVINGS = 12
 # integrand values held at once (2 MB): narrow spectra need many nodes,
 # and a long row times many nodes would otherwise take GBs
 _TRAPEZOID_BLOCK = 1 << 18
-
-
-def _log_trapezoid(log_integrand, n_cells: int, u_lo: float, u_hi: float):
-    """ln of the integral of exp(log_integrand(cells, u)) over u in
-    [u_lo, u_hi] (u_lo < 0 < u_hi) for each of n_cells cells, where
-    ``log_integrand`` maps an index array of cells and the nodes u to a
-    (cells, nodes) array.
-
-    The nodes are the multiples of a step h in the window.  So u = 0, where
-    every spectrum here peaks, is a node on every level, and a bump
-    narrower than h makes successive sums differ by about 2x rather than
-    agree by accident.  From h = 1/8 the step is halved, evaluating only
-    the new odd nodes, until a cell's sum and its sum on every other node
-    agree to _RTOL.  Each cell stops at its own level, so its value does
-    not depend on which cells share the call.  Each level's new nodes are
-    taken in blocks of at most _TRAPEZOID_BLOCK values.  Raises
-    QuadratureError if a cell has not converged after _HALVINGS halvings.
-    """
-
-    def sums(cells, u):
-        chunk = max(1, _TRAPEZOID_BLOCK // max(u.size, 1))  # a level may add no node
-        parts = []
-        for i in range(0, cells.size, chunk):
-            with np.errstate(over="ignore", under="ignore"):
-                integrand = np.exp(log_integrand(cells[i : i + chunk], u))
-            parts.append(integrand.sum(axis=-1))
-        return np.concatenate(parts)
-
-    h = _FIRST_STEP
-    cells = np.arange(n_cells)
-    u = h * np.arange(math.ceil(u_lo / h), math.floor(u_hi / h) + 1)
-    total = h * sums(cells, u)
-    for _ in range(_HALVINGS):
-        # the new nodes are the odd multiples of the halved step
-        h *= 0.5
-        u = h * np.arange(math.ceil(u_lo / h) | 1, math.floor(u_hi / h) + 1, 2)
-        previous = total[cells]
-        total[cells] = fine = 0.5 * previous + h * sums(cells, u)
-        unconverged = ~(np.abs(fine - previous) <= _RTOL * fine)  # nan included
-        previous, cells = previous[unconverged], cells[unconverged]
-        if cells.size == 0:
-            return np.log(total)
-    raise QuadratureError(
-        f"trapezoid rule in ln w: no convergence after {_HALVINGS} halvings in "
-        f"{cells.size} of {n_cells} cells; the last two sums of the first are "
-        f"{previous[0]:.12e} and {total[cells[0]]:.12e}"
-    )
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -596,6 +551,39 @@ def _flat_pairs(betas, gammas):
     return b.ravel(), g.ravel(), b.shape, scalar
 
 
+def _morse_similarity(betas, gammas, other):
+    """alpha^2 between the peak-rescaled Morse spectra (betas, gammas),
+    broadcast against each other, and one other spectrum S_o.
+
+    ``other(b, g)``, on the flattened betas and gammas, gives ln 2 + ln S_o
+    + u as a function of an index array of cells and the nodes u, ln int
+    S_o^2 dw, and the window in u = ln w (u_lo < 0 < u_hi).  The Morse
+    self-energies are closed form.  The cross integral int S_m S_o dw is the
+    rule above, with each level's new nodes in blocks of at most
+    _TRAPEZOID_BLOCK values; each cell halves its own step, so a row call
+    equals the scalar calls bit for bit.
+    """
+    b, g, shape, scalar = _flat_pairs(betas, gammas)
+    log_factor, log_energy, u_lo, u_hi = other(b, g)
+
+    def sums(cells, u):
+        chunk = max(1, _TRAPEZOID_BLOCK // max(u.size, 1))  # a level may add no node
+        per_cell = np.empty(cells.size)
+        for i in range(0, cells.size, chunk):
+            c = cells[i : i + chunk]
+            # in place: a new block-sized array per step measured slower
+            with np.errstate(over="ignore", under="ignore"):
+                log_f = _rescaled_log_shape(b[c, None], g[c, None], u)
+                log_f += log_factor(c, u)
+                np.exp(log_f, out=log_f).sum(axis=-1, out=per_cell[i : i + chunk])
+        return per_cell
+
+    cross = _halving_trapezoid(sums, b.size, u_lo, u_hi, _FIRST_STEP, _RTOL, _HALVINGS,
+                               "trapezoid rule in ln w")
+    out = np.exp(2.0 * np.log(cross) - _log_rescaled_energy(b, g) - log_energy)
+    return float(out[0]) if scalar else out.reshape(shape)
+
+
 # The Bessel cross integral int S_m S_b dw runs over a fixed window in u:
 # outside [1e-3, 60] the Bessel factor e^(2 - w - 1/w) is below 1e-26 while
 # the peak-rescaled Morse factor never exceeds 2, whatever (beta, gamma).
@@ -606,26 +594,15 @@ _LOG_E_BESSEL = math.log(8.0 * 0.012483498887268432) + 4.0
 
 
 def _bessel_alpha_sq(betas, gammas):
-    """alpha^2 between the peak-rescaled Morse spectra (betas, gammas),
-    broadcast against each other, and the Bessel spectrum.
+    """`_morse_similarity` of the Morse spectra (betas, gammas) and the
+    Bessel spectrum, whose energy is 8 e^4 K_1(4).  Agrees with the
+    double-exponential oracle `similarity_alpha_sq` to about 1e-12."""
 
-    Both self-energies are closed form (`_log_rescaled_energy`, and
-    8 e^4 K_1(4) for the Bessel).  The cross integral is `_log_trapezoid`
-    in u = ln w over [1e-3, 60], which halves each (beta, gamma)'s step
-    until two successive sums agree, so a row call equals the scalar
-    calls.  Agrees with the double-exponential oracle `similarity_alpha_sq`
-    to about 1e-12.
-    """
-    b, g, shape, scalar = _flat_pairs(betas, gammas)
-    log_cross = _log_trapezoid(
-        lambda cells, u: _rescaled_log_shape(b[cells, None], g[cells, None], u)
-        + (math.log(4.0) + 2.0 + u - 2.0 * np.cosh(u)),  # 2 cosh u = w + 1/w
-        b.size,
-        _BESSEL_LOG_LO,
-        _BESSEL_LOG_HI,
-    )
-    out = np.exp(2.0 * log_cross - _log_rescaled_energy(b, g) - _LOG_E_BESSEL)
-    return float(out[0]) if scalar else out.reshape(shape)
+    def bessel(b, g):  # ln 2 + ln S_b + u, where 2 cosh u = w + 1/w
+        log_factor = lambda cells, u: math.log(4.0) + 2.0 + u - 2.0 * np.cosh(u)
+        return log_factor, _LOG_E_BESSEL, _BESSEL_LOG_LO, _BESSEL_LOG_HI
+
+    return _morse_similarity(betas, gammas, bessel)
 
 
 # the rho^2 window drops integrand values below this (the integrals are
@@ -638,34 +615,28 @@ def _morse_rho_sq(betas, gammas):
     against each other, without quadrature; requires beta > 0.
 
     The Gaussian bell is 2 exp(-P^2 (w - 1)^2 / 2) on the peak-rescaled axis
-    (P = sqrt(beta*gamma)).  Both self-energies are closed form: the Morse
-    one from `_log_rescaled_energy`, the bell's over (0, inf)
-    2 sqrt(pi) (1 + erf P) / P.  The cross integral is `_log_trapezoid` in
-    u = ln w on one window for all the members, each halving its own step.
-    Its integrand is at most 4 exp((1 + beta) u + beta/gamma) below the
-    peak, since both factors are at most 2 and S_m <= 2 w**beta
+    (P = sqrt(beta*gamma)), with energy 2 sqrt(pi) (1 + erf P) / P over
+    (0, inf).  `_morse_similarity` runs on one window for all the members.
+    The cross integrand is at most 4 exp((1 + beta) u + beta/gamma) below
+    the peak, since both factors are at most 2 and S_m <= 2 w**beta
     e**(beta/gamma), so the window's lower end is set by the smallest beta;
     above the peak it is at most 4 exp(u - P^2 (w - 1)^2 / 2), so the upper
     end is set by the smallest P.  On the default `curves` grid this agrees
     with mpmath to about 3e-15.
     """
-    b, g, shape, scalar = _flat_pairs(betas, gammas)
-    p_dur = np.sqrt(b * g)
-    rate = 0.5 * p_dur * p_dur
-    u_lo = float(np.min((_LOG_RHO_TAIL - b / g) / (1.0 + b)))
-    # w - 1 = sqrt(L/rate) + 1/rate gives rate (w - 1)^2 - ln w >= L = -tail
-    u_hi = float(np.max(np.log1p(np.sqrt(-_LOG_RHO_TAIL / rate) + 1.0 / rate)))
-    log_cross = _log_trapezoid(
-        lambda cells, u: _rescaled_log_shape(b[cells, None], g[cells, None], u)
-        + (math.log(4.0) + u - rate[cells, None] * np.expm1(u) ** 2),
-        b.size,
-        u_lo,
-        u_hi,
-    )
-    erf_p = np.fromiter(map(math.erf, p_dur), float, p_dur.size)
-    log_e_bell = np.log(2.0 * math.sqrt(math.pi) * (1.0 + erf_p) / p_dur)
-    out = np.exp(2.0 * log_cross - _log_rescaled_energy(b, g) - log_e_bell)
-    return float(out[0]) if scalar else out.reshape(shape)
+
+    def bell(b, g):
+        p_dur = np.sqrt(b * g)
+        rate = 0.5 * p_dur * p_dur
+        u_lo = float(np.min((_LOG_RHO_TAIL - b / g) / (1.0 + b)))
+        # w - 1 = sqrt(L/rate) + 1/rate gives rate (w - 1)^2 - ln w >= L = -tail
+        u_hi = float(np.max(np.log1p(np.sqrt(-_LOG_RHO_TAIL / rate) + 1.0 / rate)))
+        erf_p = np.fromiter(map(math.erf, p_dur), float, p_dur.size)
+        log_e_bell = np.log(2.0 * math.sqrt(math.pi) * (1.0 + erf_p) / p_dur)
+        return (lambda cells, u: math.log(4.0) + u - rate[cells, None] * np.expm1(u) ** 2,
+                log_e_bell, u_lo, u_hi)
+
+    return _morse_similarity(betas, gammas, bell)
 
 
 # compass moves, then diagonal ones: along the ridge beta*gamma ~ 2.2 (the
@@ -688,12 +659,9 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
     moves alone stall.  The trace records every coarse-grid evaluation in
     row-major order, then the refinement path.
 
-    alpha^2 comes from `_bessel_alpha_sq`: closed-form self-energies and a
-    trapezoid in ln w for the cross integral, evaluated one beta row of the
-    grid at a time.  Each point halves its own step until two successive
-    sums agree, so a row scores its points as single calls would.  The
-    double-exponential quadrature behind `similarity_alpha_sq` is the
-    oracle the tests hold it to.
+    alpha^2 comes from `_bessel_alpha_sq`, one beta row of the grid at a
+    time, which scores each point as a single call would; the tests hold
+    it to the double-exponential oracle `similarity_alpha_sq`.
 
     The refinement scores a poll's remaining moves, those that clipping to
     the box does not leave at x, in one call, and walks the scores in move

@@ -29,14 +29,16 @@ signal (Martucci 1994; Makhoul 1980): no padding and no complex row.  For
 other n the buffer is not one period of the extension, so those mirror
 rows, like the zero-padded ones, are the padded spectrum's inverse FFTs.
 
-Memory is the output, plus per thread one padded complex row (zero, and
-mirror at other n), two real length-n rows (mirror at power-of-two n;
-complex for a complex signal) or nothing (periodic rows are inverted in
-place in the output), plus O(m) per thread for the filter.  The coefficients are
-bitwise those of a plain loop of the same per-scale formula, whatever the
-thread count.  The DCT, DST and inverse FFTs are `scipy.fft`'s, imported
-by the first transform: no other part of the package needs scipy, so
-importing it loads no scipy module.
+A narrower signal (float32, complex64, integers) is transformed as its
+float64 or complex128 cast.  Memory is the output and that cast, plus per
+thread one padded complex row (zero, and mirror at other n), two real
+length-n rows (mirror at power-of-two n; complex for a complex signal) or
+nothing (periodic rows are inverted in place in the output), plus O(m)
+per thread for the filter.  The coefficients are bitwise those of a
+plain loop of the same per-scale formula, whatever the thread count.  The
+DCT, DST and inverse FFTs are `scipy.fft`'s, imported by the first
+transform: no other part of the package needs scipy, so importing it
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -309,12 +311,13 @@ def transform(
     among them) each take the next row, evaluate its filter, invert it with
     one-thread transforms and write it, cropped and scaled, to the output.
     Rows are written scale-major, so ``coefficients`` is a Fortran-ordered
-    time x scale view.  Beyond the output the transform holds per thread
-    one padded complex row (zero, and mirror at other n), two length-n
-    rows (mirror at power-of-two n) or none (periodic rows are inverted in
-    place in the output), and O(m) per thread for the filter.  An error in
-    any row stops the others and is raised here once every thread has
-    ended.  The coefficients do not depend on the thread count.
+    time x scale view.  Beyond the output, and the float64 or complex128
+    cast of a narrower signal, the transform holds per thread one padded
+    complex row (zero, and mirror at other n), two length-n rows (mirror
+    at power-of-two n) or none (periodic rows are inverted in place in the
+    output), and O(m) per thread for the filter.  An error in any row
+    stops the others and is raised here once every thread has ended.  The
+    coefficients do not depend on the thread count.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
@@ -322,7 +325,8 @@ def transform(
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
     import scipy.fft
 
-    sig = np.asarray(x.samples)
+    # np.fft.fft would run a float32 or complex64 signal in single precision
+    sig = x.samples.astype(np.promote_types(x.samples.dtype, float), copy=False)
     n = len(sig)
     m = n if boundary == "periodic" else _next_pow2(2 * n)
     symmetric = boundary == "mirror" and m == 2 * n
@@ -336,11 +340,8 @@ def transform(
     supports = np.minimum(supports, n if symmetric else m // 2 + 1).astype(int)
     if symmetric:
         # D[k] = 2 sum_t x_t cos(pi k (2t+1) / 2n): bin k of the DFT of
-        # [x, x[::-1]] is exp(i pi k / 2n) D[k], and D[n] = 0.  D is taken in
-        # double precision: in float32, a single-precision signal's rows
-        # would lose ten times what its padded complex64 FFT does
-        wide = sig.astype(np.promote_types(sig.dtype, float), copy=False)
-        spectrum = scipy.fft.dct(wide, type=2)[: supports.max()]
+        # [x, x[::-1]] is exp(i pi k / 2n) D[k], and D[n] = 0
+        spectrum = scipy.fft.dct(sig, type=2)[: supports.max()]
     else:
         offset = (m - n) // 2
         mode = "constant" if boundary == "zero" else "symmetric"

@@ -10,7 +10,7 @@ from helpers import (
     reference_bessel_fit,
 )
 from morsekit.core import MorseParams, eval_spectrum
-from morsekit.props import QuadratureError, quadrature_moment
+from morsekit.props import QuadratureError, quadrature_integral, quadrature_moment
 from morsekit.superfamily import (
     BesselFitGrid,
     MorletParams,
@@ -35,7 +35,7 @@ from morsekit.superfamily import (
     shannon_wavelet,
     similarity_alpha_sq,
 )
-from morsekit import superfamily
+from morsekit import props, superfamily
 from morsekit.superfamily import _bessel_alpha_sq, _morlet_area_and_rho_sq, _morse_rho_sq
 
 
@@ -484,6 +484,10 @@ class TestBesselFit:
             BesselFitGrid(**bound)
 
 
+# a sum as the no-convergence messages print it
+_SUM = r"-?\d\.\d{12}e[+-]\d{2,3}"
+
+
 class TestBesselAlphaSqRule:
     """The self-sizing trapezoid rule inside bessel_fit against the
     double-exponential oracle."""
@@ -558,10 +562,38 @@ class TestBesselAlphaSqRule:
     def test_spectrum_narrower_than_the_finest_level_raises(self, rule):
         # P = 4.5e6: the bump is 2e-7 wide in ln w, against a finest step of
         # 3e-5, so only the node at the peak sees it and each halving halves
-        # the sum; a row with a narrow cell raises as a whole
-        for betas in (1e12, [22.0, 1e12]):
-            with pytest.raises(QuadratureError, match="no convergence after 12 halvings"):
+        # the sum; a row with a narrow cell raises as a whole.  `besselfit`
+        # and `curves` print this message, so it is matched in full.
+        for betas, n_cells in ((1e12, 1), ([22.0, 1e12], 2)):
+            with pytest.raises(QuadratureError, match=(
+                r"^trapezoid rule in ln w: no convergence after 12 halvings in 1 of "
+                rf"{n_cells} cells; the last two sums of the first are {_SUM} and {_SUM}$"
+            )):
                 rule(betas, 20.0)
+
+
+class TestOneHalvingDriver:
+    """alpha^2, rho^2 and the oracle halve their steps in one loop."""
+
+    def test_each_rule_runs_through_the_one_driver(self, monkeypatch):
+        driver = props._halving_trapezoid
+        assert superfamily._halving_trapezoid is driver
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[7])  # the rule's name
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(props, "_halving_trapezoid", counting)
+        monkeypatch.setattr(superfamily, "_halving_trapezoid", counting)
+        for rule, name in [
+            (lambda: _bessel_alpha_sq(22.0, [0.1, 0.2]), "trapezoid rule in ln w"),
+            (lambda: _morse_rho_sq(9.0, 3.0), "trapezoid rule in ln w"),
+            (lambda: quadrature_integral(lambda w: np.exp(-w)), "double-exponential rule"),
+        ]:
+            calls.clear()
+            rule()
+            assert calls == [name]
 
 
 class TestMorseRhoSqRule:

@@ -445,15 +445,20 @@ class TestBlockedTransform:
         assert np.all(col_max > 0)
         assert np.all(np.abs(got - want).max(axis=0) <= 1e-13 * col_max)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
-    def test_power_of_two_mirror_of_single_precision_runs_in_double(self, dtype):
-        n = 1024
-        x = _noise(n, dtype is np.complex64, seed=8).astype(dtype)
+    @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
+    @pytest.mark.parametrize("n", [1024, 1237])
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int16])
+    def test_narrow_signal_runs_as_its_double_cast(self, dtype, n, boundary):
+        # np.fft.fft would run a float32 or complex64 signal in single
+        # precision; every boundary, padded or not, takes the double cast
+        x = _noise(n, dtype is np.complex64, seed=8)
+        x = np.round(1000.0 * x).astype(dtype) if dtype is np.int16 else x.astype(dtype)
         grid = scale_grid(n, P93, density=4)
-        got = transform(SignalBuffer(x), grid, boundary="mirror").coefficients
+        got = transform(SignalBuffer(x), grid, boundary=boundary).coefficients
         wide = x.astype(np.promote_types(dtype, np.float64))
+        assert wide.dtype in (np.float64, np.complex128)
         assert np.array_equal(got, transform(SignalBuffer(wide), grid,
-                                             boundary="mirror").coefficients)
+                                             boundary=boundary).coefficients)
 
     @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
     def test_lowpass_member(self, boundary):
