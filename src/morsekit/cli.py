@@ -17,8 +17,9 @@ written one block of at most ``_FORMAT_CELLS`` cells at a time by
 as are the `cwt` JSON coefficients, a block of rows at a time.  The other
 tables (`curves` and `props`, whose rows hold blanks or integers, the
 `gallery` index, and the three short `map` lists of curves and lines) are
-written one row at a time.  A run holds its results plus one formatted
-block, never the whole text.
+written one row at a time.  A CSV table, or the `cwt` JSON, is held as
+at most one formatted block, never the whole text; every other JSON
+table is built whole, as Python rows and then one ``json.dumps`` text.
 
 ``_write_lines`` has any table of more than one block of rows (the `map`
 area table, the default `besselfit` trace, the `cwt` CSV, each part of the

@@ -174,14 +174,6 @@ def amplitude_constant(p: MorseParams) -> float:
     return float(np.exp(log_amplitude_constant(p)))
 
 
-def _log_spectrum_exponent(p: MorseParams, omega: np.ndarray) -> np.ndarray:
-    # exponent of Psi on omega > 0 only; callers mask non-positive omega
-    la = log_amplitude_constant(p)
-    logw = np.log(omega)
-    with np.errstate(over="ignore"):
-        return la + p.beta * logw - np.exp(p.gamma * logw)
-
-
 def eval_spectrum(p: MorseParams, omega):
     """Evaluate the frequency-domain wavelet Psi(omega).
 
@@ -210,19 +202,32 @@ def eval_spectrum(p: MorseParams, omega):
     out = np.zeros_like(w)
     pos = (w > 0) & np.isfinite(w)
     if np.any(pos):
-        with np.errstate(under="ignore"):
-            out[pos] = np.exp(_log_spectrum_exponent(p, w[pos]))
+        logw = np.log(w[pos])
+        # ln Psi = ln 2 - w**gamma: the amplitude constant is 2 at beta = 0
+        with np.errstate(over="ignore", under="ignore"):
+            out[pos] = np.exp(math.log(2.0) - np.exp(p.gamma * logw))
     return float(out[0]) if scalar else out
 
 
-def _rescaled_log_shape(beta, gamma, log_omega):
+def _rescaled_log_shape(beta, gamma, log_omega, out=None):
     """ln of the peak-rescaled spectrum less ln 2 at ln(omega):
     beta*ln(w) + (beta/gamma)*(1 - w**gamma), zero at the peak w = 1.
+    The package's one spelling of the Morse log shape: the spectrum
+    (`eval_rescaled_spectrum`) and the alpha^2 and rho^2 rules
+    (`superfamily._morse_similarity`) all run it.
 
     Takes raw (beta, gamma) rather than MorseParams so that whole rows of
-    the parameter plane broadcast against a frequency grid at once.
+    the parameter plane broadcast against a frequency grid at once.  The
+    tail (beta/gamma)*(1 - w**gamma) is formed in one temporary, and the
+    sum is written into ``out``, which may be ``log_omega`` itself; without
+    ``out`` the call allocates two arrays of the broadcast shape.
     """
-    return beta * log_omega + (beta / gamma) * (1.0 - np.exp(gamma * log_omega))
+    tail = np.multiply(gamma, log_omega)
+    np.exp(tail, out=tail)
+    np.subtract(1.0, tail, out=tail)
+    np.multiply(beta / gamma, tail, out=tail)
+    out = np.multiply(beta, log_omega, out=out)
+    return np.add(out, tail, out=out)
 
 
 def _bisect(f, lo, hi):
@@ -252,10 +257,11 @@ def eval_rescaled_spectrum(p: MorseParams, omega):
     which stays finite for parameter values whose peak frequency would
     overflow.
 
-    The steps of _rescaled_log_shape run in place on two buffers of the
-    input's size.  No mask is needed: ln(w) is -inf at w = +-0, so the
-    exponent is -inf and the value +0.0, and it is nan for w < 0, -inf and
-    nan, and inf - inf = nan at w = +inf; every nan exponent gives 0.
+    The log shape is `_rescaled_log_shape`, written over its own ln(w)
+    buffer, so a call holds two buffers of the input's size.  No mask is
+    needed: ln(w) is -inf at w = +-0, so the exponent is -inf and the value
+    +0.0, and it is nan for w < 0, -inf and nan, and inf - inf = nan at
+    w = +inf; every nan exponent gives 0.
     """
     if p.beta == 0:
         raise ValueError("rescaled spectrum requires beta > 0 (no peak to rescale by)")
@@ -263,13 +269,7 @@ def eval_rescaled_spectrum(p: MorseParams, omega):
     scalar = w.ndim == 0
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         out = np.log(np.atleast_1d(w))
-        # (beta/gamma) * (1 - w**gamma), then beta*ln(w) + that
-        tail = np.multiply(p.gamma, out)
-        np.exp(tail, out=tail)
-        np.subtract(1.0, tail, out=tail)
-        np.multiply(p.beta / p.gamma, tail, out=tail)
-        np.multiply(p.beta, out, out=out)
-        np.add(out, tail, out=out)
+        _rescaled_log_shape(p.beta, p.gamma, out, out=out)
         np.exp(out, out=out)
         np.multiply(2.0, out, out=out)
     # the values are >= 0, so fmax only turns nan into 0

@@ -72,14 +72,6 @@ class MomentTable:
     m: dict[int, float] = field(default_factory=dict)
 
 
-def _log_gengamma_integral(gamma: float, q: float) -> float:
-    """ln of int_0^inf w**q exp(-2 w**gamma) dw; requires q > -1."""
-    r = (q + 1.0) / gamma
-    if r <= 0:
-        raise ValueError(f"divergent integral: needs exponent q > -1 (got q={q})")
-    return math.lgamma(r) - math.log(gamma) - r * math.log(2.0)
-
-
 # Stirling's series ln Gamma(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + tail(z),
 # tail(z) ~ sum_k B_2k / (2k (2k - 1) z**(2k - 1)), to 7 terms: from z = 10
 # on, the first term left out is below 3e-17.
@@ -169,8 +161,10 @@ def log_energy_moment(p: MorseParams, n: int) -> float:
         raise ValueError(
             f"energy moment diverges: 2*beta + n + 1 = {2 * p.beta + n + 1} <= 0"
         )
-    return 2.0 * log_amplitude_constant(p) + _log_gengamma_integral(
-        p.gamma, 2.0 * p.beta + n
+    # ln int_0^inf w**(2 beta + n) exp(-2 w**gamma) dw = ln(Gamma(r)/(gamma 2**r))
+    r = ((2.0 * p.beta + n) + 1.0) / p.gamma
+    return 2.0 * log_amplitude_constant(p) + (
+        math.lgamma(r) - math.log(p.gamma) - r * math.log(2.0)
     )
 
 

@@ -708,8 +708,6 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
             cands = np.clip(x + step * _MOVES[first:], log_lo, log_hi)
             # the moves that clipping to the box does not leave at x
             moved = np.flatnonzero((cands != x).any(axis=1)).tolist()
-            if not moved:
-                break
             b = [float(np.exp(cands[k, 0])) for k in moved]
             g = [float(np.exp(cands[k, 1])) for k in moved]
             start, first = first, len(_MOVES)

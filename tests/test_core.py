@@ -10,6 +10,7 @@ from morsekit.core import (
     MorseParams,
     SampledSpectrum,
     SampledWaveform,
+    _rescaled_log_shape,
     amplitude_constant,
     approx_spectrum,
     duration,
@@ -159,6 +160,19 @@ class TestEvalSpectrum:
         assert eval_spectrum(MorseParams(2, 3), 1e4) == 0.0
         assert eval_spectrum(MorseParams(2, 3), math.inf) == 0.0
 
+    @pytest.mark.parametrize("g", [0.02, 1.0, 3.0, 60.0])
+    def test_beta_zero_bitwise_equal_to_the_amplitude_form(self, g):
+        # exp(ln a + beta ln w - w**gamma) with ln a = ln 2 and beta = 0
+        rng = np.random.default_rng(1)
+        w = np.concatenate([[0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324,
+                             1e-300, 1e300], np.exp(rng.uniform(-50.0, 50.0, 400))])
+        pos = (w > 0) & np.isfinite(w)
+        want = np.zeros_like(w)
+        with np.errstate(over="ignore", under="ignore"):
+            logw = np.log(w[pos])
+            want[pos] = np.exp(math.log(2.0) + 0.0 * logw - np.exp(g * logw))
+        assert eval_spectrum(MorseParams(0, g), w).tobytes() == want.tobytes()
+
 
 class TestRescaledSpectrum:
     def test_unit_peak(self):
@@ -220,6 +234,41 @@ class TestRescaledSpectrum:
             got = eval_rescaled_spectrum(p, w)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(self._masked(p, w)).tobytes()
+
+
+class TestLogShapeKernel:
+    """core._rescaled_log_shape, written into ``out``, gives the bits of
+    the allocating formula."""
+
+    @staticmethod
+    def _formula(b, g, lw):
+        return b * lw + (b / g) * (1.0 - np.exp(g * lw))
+
+    nodes = np.array([0.0, -0.0, -1.0, math.inf, math.nan, 5e-324, 1e-3, 0.5, 1.0,
+                      1.5, 4.0, 1e300])
+
+    @pytest.mark.parametrize("b, g", [(9.0, 3.0), (22.0, 0.1), (1e-3, 30.0), (500.0, 0.05)])
+    def test_in_place_over_the_log_frequencies(self, b, g):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lw = np.log(self.nodes)
+            want = self._formula(b, g, lw)
+            got = _rescaled_log_shape(b, g, lw, out=lw)
+        assert got is lw
+        assert got.tobytes() == want.tobytes()
+
+    def test_broadcast_of_a_parameter_column_against_the_nodes(self):
+        b = np.array([[9.0], [22.0], [1e-3], [500.0]])
+        g = np.array([[3.0], [0.1], [30.0], [0.05]])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lw = np.log(self.nodes)
+            want = self._formula(b, g, lw)
+            out = np.empty(want.shape)
+            got = _rescaled_log_shape(b, g, lw, out=out)
+            allocated = _rescaled_log_shape(b, g, lw)
+        assert got is out
+        assert got.shape == (4, self.nodes.size)
+        assert got.tobytes() == want.tobytes()
+        assert allocated.tobytes() == want.tobytes()
 
 
 from helpers import fd_log_derivative

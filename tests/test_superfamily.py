@@ -35,7 +35,7 @@ from morsekit.superfamily import (
     shannon_wavelet,
     similarity_alpha_sq,
 )
-from morsekit import props, superfamily
+from morsekit import core, props, superfamily
 from morsekit.superfamily import _bessel_alpha_sq, _morlet_area_and_rho_sq, _morse_rho_sq
 
 
@@ -531,8 +531,8 @@ class TestBesselAlphaSqRule:
         evaluations = []
         log_shape = superfamily._rescaled_log_shape
 
-        def counting(*args):
-            out = log_shape(*args)
+        def counting(*args, **kwargs):
+            out = log_shape(*args, **kwargs)
             evaluations[-1] += out.size
             return out
 
@@ -594,6 +594,33 @@ class TestOneHalvingDriver:
             calls.clear()
             rule()
             assert calls == [name]
+
+
+class TestOneLogShapeKernel:
+    """The spectrum and both similarity rules form the Morse log shape in
+    one kernel, core._rescaled_log_shape."""
+
+    def test_every_evaluator_runs_through_the_one_kernel(self, monkeypatch):
+        kernel = core._rescaled_log_shape
+        assert superfamily._rescaled_log_shape is kernel
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_rescaled_log_shape", counting)
+        monkeypatch.setattr(superfamily, "_rescaled_log_shape", counting)
+        p = MorseParams(9.0, 3.0)
+        core.eval_rescaled_spectrum(p, [0.5, 1.0, 2.0])
+        assert calls == [(3,)]
+        calls.clear()
+        eval_spectrum(p, 1.0)
+        assert calls == [(1,)]
+        for rule in (lambda: _bessel_alpha_sq(22.0, [0.1, 0.2]), lambda: _morse_rho_sq(9.0, 3.0)):
+            calls.clear()
+            rule()
+            assert calls  # one call per block of each level
 
 
 class TestMorseRhoSqRule:
