@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Statement lines of the morsekit package that no test runs.
 
-    python scripts/line_coverage.py [--src SRC] [PYTEST_ARG ...]
+    python scripts/line_coverage.py [--src SRC]
 
-Runs the tests in this process through ``pytest.main`` (by default the
-tier-1 suite, ``-q --continue-on-collection-errors tests``) under a line
-tracer, ``sys.settrace`` and ``threading.settrace``, that records only
-frames whose code lies in SRC/morsekit (SRC defaults to ``src`` of this
+Runs the tier-1 suite (``-q --continue-on-collection-errors tests``) in
+this process through ``pytest.main`` under a line tracer,
+``sys.settrace`` and ``threading.settrace``, that records only frames
+whose code lies in SRC/morsekit (SRC defaults to ``src`` of this
 checkout).  It then prints, for each module, the ``ast`` statements of
 which no line ran, as runs of consecutive statements.  Docstrings and
 ``global``/``nonlocal`` declarations compile to no code and are left out.
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the directory that holds the package (default: src)")
-    args, pytest_args = ap.parse_known_args(argv)
+    args = ap.parse_args(argv)
     package_dir = (args.src / PACKAGE).resolve()
     if not (package_dir / "__init__.py").is_file():
         ap.error(f"no {PACKAGE} package in {args.src}")
@@ -140,8 +140,7 @@ def main(argv=None) -> int:
     import pytest
 
     with tracing(package_dir) as ran:
-        code = pytest.main(pytest_args or ["-q", "--continue-on-collection-errors",
-                                           str(ROOT / "tests")])
+        code = pytest.main(["-q", "--continue-on-collection-errors", str(ROOT / "tests")])
     loaded = Path(sys.modules[PACKAGE].__file__).resolve().parent if PACKAGE in sys.modules else None
     if loaded != package_dir:
         print(f"error: the tests imported {PACKAGE} from {loaded}, not {package_dir}",

@@ -10,11 +10,11 @@ them through one table, ``_PARSERS``.
 Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
 undefined cells blank.  One writer serves every command.  Each float
-array table (the `map` area table, the `gallery` pair tables, the
-`besselfit` trace, the `limits` table and the `cwt` coefficients) is
-written one block of at most ``_FORMAT_CELLS`` cells at a time by
-``_write_lines``, every float of a block through a single repr of a list,
-as are the `cwt` JSON coefficients, a block of rows at a time.  The other
+array table written as CSV (the `map` area table, the `gallery` pair
+tables, the `besselfit` trace, the `limits` table and the `cwt`
+coefficients) is written one block of at most ``_FORMAT_CELLS`` cells at
+a time by ``_write_lines``, every float of a block through a single repr
+of a list, as are the `cwt` JSON coefficients, a block of rows at a time.  The other
 tables (`curves` and `props`, whose rows hold blanks or integers, the
 `gallery` index, and the three short `map` lists of curves and lines) are
 written one row at a time.  A CSV table, or the `cwt` JSON, is held as

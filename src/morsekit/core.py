@@ -220,7 +220,9 @@ def _rescaled_log_shape(beta, gamma, log_omega, out=None):
     the parameter plane broadcast against a frequency grid at once.  The
     tail (beta/gamma)*(1 - w**gamma) is formed in one temporary, and the
     sum is written into ``out``, which may be ``log_omega`` itself; without
-    ``out`` the call allocates two arrays of the broadcast shape.
+    ``out`` the call allocates two arrays of the broadcast shape.  The
+    in-place steps need an array: ``log_omega`` must be an ndarray, or its
+    broadcast with ``gamma`` must give one (a 0-d result is not supported).
     """
     tail = np.multiply(gamma, log_omega)
     np.exp(tail, out=tail)
