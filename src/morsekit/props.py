@@ -5,11 +5,13 @@ Closed forms come from the generalized-gamma integral
     int_0^inf w**q exp(-2 w**gamma) dw = Gamma((q+1)/gamma) /
                                          (gamma * 2**((q+1)/gamma))
 
-taken as ratios to the zeroth moment, whose log-gamma differences come from
-one Stirling-difference kernel (`_log_gamma_ratio`) that never forms the
-r ln r terms that cancel.  The kernels act on raw (beta, gamma) arrays
-that broadcast over a whole grid of the parameter plane; the MorseParams
-functions wrap them.  An independent quadrature oracle
+in one form for every energy integral of the package (`log_energy_moment`,
+and the self-energies behind `superfamily`'s alpha^2 and rho^2): the
+peak-rescaled self-energy `_log_rescaled_energy_one` and ratios to it from
+one Stirling-difference kernel (`_log_gamma_ratio`), neither of which forms
+the r ln r terms that cancel.  The ratio kernels act on raw (beta, gamma)
+arrays that broadcast over a whole grid of the parameter plane; the
+MorseParams functions wrap them.  An independent quadrature oracle
 (`quadrature_moment`, `quadrature_integral`) checks every closed form; no
 CLI command calls it.  It is one double-exponential rule: a fixed map of
 (0, inf), (0, upper) or the real line onto t, then the trapezoid rule in
@@ -20,11 +22,12 @@ two sums agree, which `superfamily`'s rule in ln w shares.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MorseParams, duration, log_amplitude_constant, peak_frequency
+from .core import MorseParams, duration, peak_frequency
 
 __all__ = [
     "PropertySummary",
@@ -155,22 +158,73 @@ def _log_gamma_ratio(r, s):
     return out
 
 
-def log_energy_moment(p: MorseParams, n: int) -> float:
-    """ln of the order-n energy moment int_0^inf w**n |Psi(w)|**2 dw."""
-    if 2 * p.beta + n + 1 <= 0:
-        raise ValueError(
-            f"energy moment diverges: 2*beta + n + 1 = {2 * p.beta + n + 1} <= 0"
-        )
-    # ln int_0^inf w**(2 beta + n) exp(-2 w**gamma) dw = ln(Gamma(r)/(gamma 2**r))
-    r = ((2.0 * p.beta + n) + 1.0) / p.gamma
-    return 2.0 * log_amplitude_constant(p) + (
-        math.lgamma(r) - math.log(p.gamma) - r * math.log(2.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_rescaled_energy_one(b: float, g: float) -> float:
+    """ln int S_m^2 dw of one peak-rescaled Morse spectrum (b, g), closed
+    form: 4 e^(2 beta/gamma) c**(2 beta + 1) int x**(2 beta) exp(-2 x**gamma)
+    dx with c = (gamma/beta)**(1/gamma).
+
+    With r = (2 beta + 1)/gamma and Stirling's ln Gamma(r) = (r - 1/2) ln r
+    - r + ln(2 pi)/2 + tail(r) this is
+
+        ln 4 - 1/gamma - ln gamma + ln(2 pi)/2 - (ln r)/2
+            + r log1p(1/(2 beta)) + tail(r),
+
+    every term O(1) or a log: the terms of size r ln r cancel exactly
+    before any is formed.  tail(r) is Stirling's series from r = 10 on, and
+    math.lgamma below, where none of its terms is large.
+    """
+    r = (2.0 * b + 1.0) / g
+    if r < _STIRLING_FROM:
+        tail = math.lgamma(r) - (r - 0.5) * math.log(r) + r - _HALF_LOG_2PI
+    else:
+        tail = _stirling_tail(r)
+    return (
+        math.log(4.0) + _HALF_LOG_2PI - 1.0 / g - math.log(g) - 0.5 * math.log(r)
+        + r * math.log1p(0.5 / b) + tail
     )
 
 
+def _log_rescaled_energy(b, g):
+    """`_log_rescaled_energy_one` on 1-d arrays of beta and gamma: a whole
+    coarse grid or one poll of `superfamily.bessel_fit`, each cell the
+    scalar call's bits, which numpy's own log need not give."""
+    return np.fromiter(map(_log_rescaled_energy_one, b.tolist(), g.tolist()), float, len(b))
+
+
+def log_energy_moment(p: MorseParams, n: int) -> float:
+    """ln of the order-n energy moment m_n = int_0^inf w**n |Psi(w)|**2 dw.
+
+    For beta > 0 it is E + (n + 1) ln w_p + R_n, with E the rescaled
+    self-energy `_log_rescaled_energy_one` and R_n = ln(m_n/(m_0 w_p**n))
+    from `_log_moment_ratios` (0 for n = 0), neither of which forms the
+    r ln r terms that cancel; for beta = 0, ln(4 Gamma(r)/(gamma 2**r)) with
+    r = (n + 1)/gamma, where nothing cancels.  Raises ValueError where the
+    moment diverges (2 beta + n + 1 <= 0) and, for beta > 0, where beta is
+    subnormal or r = (2 beta + 1)/gamma or r + n/gamma is outside [1e-307,
+    1e30]: `_log_gamma_ratio` divides 10 by r, and for n = -1 its product of
+    ten factors overflows from about r = 3e31 on.
+    """
+    b, g = float(p.beta), float(p.gamma)
+    if 2 * b + n + 1 <= 0:
+        raise ValueError(f"energy moment diverges: 2*beta + n + 1 = {2 * b + n + 1} <= 0")
+    if b == 0:
+        r = (n + 1.0) / g
+        return math.log(4.0) + (math.lgamma(r) - math.log(g) - r * math.log(2.0))
+    r, lo, hi = (2.0 * b + 1.0) / g, 1e-307, 1e30
+    if not (b >= sys.float_info.min and lo <= r <= hi and lo <= r + n / g <= hi):
+        raise ValueError(f"energy moment out of range: beta = {b:.6g}, r = {r:.6g} and r + n/gamma"
+                         f" = {r + n / g:.6g} (needs a normal beta, r and r + n/gamma in [{lo:g}, {hi:g}])")
+    out = _log_rescaled_energy_one(b, g) + (n + 1) * ((math.log(b) - math.log(g)) / g)
+    if n:
+        out += float(_log_moment_ratios(b, g, n)[0])
+    return out
+
+
 def energy_moment(p: MorseParams, n: int) -> float:
-    """Order-n energy moment of the spectrum, a**2 Gamma(r)/(gamma 2**r)
-    with r = (2 beta + n + 1)/gamma."""
+    """Order-n energy moment of the spectrum, exp of `log_energy_moment`."""
     return float(np.exp(log_energy_moment(p, n)))
 
 

@@ -8,10 +8,11 @@ gamma -> inf, and the analytic filter at (0, 0).  The Morlet and Bessel
 wavelets sit outside the family; the Bessel wavelet is nevertheless
 approximated to alpha^2 ~ 0.9995 near (beta, gamma) = (22, 1/10), which
 `bessel_fit` recovers by grid search plus pattern-search refinement (compass
-and diagonal moves).  The fit scores whole rows of the grid, and each
-poll's remaining moves, at once by `_morse_similarity`: closed-form
-self-energies and a trapezoid in ln(omega) for the cross integral, whose
-step each member halves in `props._halving_trapezoid`, the oracle's loop;
+and diagonal moves).  The fit scores the whole coarse grid, and each
+poll's remaining moves, at once by `_morse_similarity`: the closed-form
+self-energies of `props._log_rescaled_energy` and a trapezoid in
+ln(omega) for the cross integral, whose step each member halves in
+`props._halving_trapezoid`, the oracle's loop;
 `_morse_rho_sq` scores Gaussian similarity the same way on a whole grid,
 and `_morlet_area_and_rho_sq` gives the Morlet's area and similarity from
 Gaussian integrals in closed form.  The Morlet's peak frequency, and its
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .core import MorseParams, _bisect, _rescaled_log_shape, duration, eval_rescaled_spectrum
-from .props import _STIRLING_FROM, _halving_trapezoid, _stirling_tail, quadrature_integral
+from .props import _halving_trapezoid, _log_rescaled_energy, quadrature_integral
 
 __all__ = [
     "MorletParams",
@@ -434,10 +435,6 @@ def _cross_integral(w1: NamedWavelet, w2: NamedWavelet) -> float:
     return quadrature_integral(f, full_line=full, hard_upper=hard_upper)
 
 
-def _self_energy(w: NamedWavelet) -> float:
-    return _cross_integral(w, w)
-
-
 def similarity_alpha_sq(w1: NamedWavelet, w2: NamedWavelet) -> float:
     """Squared inner product of two unit-energy spectra, in [0, 1].
 
@@ -450,7 +447,7 @@ def similarity_alpha_sq(w1: NamedWavelet, w2: NamedWavelet) -> float:
         if not w.square_integrable:
             raise ValueError(f"{w.kind} spectrum is not square integrable")
     num = _cross_integral(w1, w2)
-    return float(num * num / (_self_energy(w1) * _self_energy(w2)))
+    return float(num * num / (_cross_integral(w1, w1) * _cross_integral(w2, w2)))
 
 
 def _peak_and_duration_of(w: NamedWavelet) -> tuple[float, float]:
@@ -481,7 +478,7 @@ def gaussianity_rho_sq(w: NamedWavelet) -> float:
         kind="gaussian_form", params=None, spectrum=gauss, full_line=w.full_line
     )
     num = _cross_integral(w, gw)
-    return float(num * num / (_self_energy(w) * _self_energy(gw)))
+    return float(num * num / (_cross_integral(w, w) * _cross_integral(gw, gw)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,52 +502,6 @@ _HALVINGS = 12
 _TRAPEZOID_BLOCK = 1 << 18
 
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _log_rescaled_energy_one(b: float, g: float) -> float:
-    """ln int S_m^2 dw of one peak-rescaled Morse spectrum (b, g), closed
-    form: 4 e^(2 beta/gamma) c**(2 beta + 1) int x**(2 beta) exp(-2 x**gamma)
-    dx with c = (gamma/beta)**(1/gamma).
-
-    With r = (2 beta + 1)/gamma and Stirling's ln Gamma(r) = (r - 1/2) ln r
-    - r + ln(2 pi)/2 + tail(r) this is
-
-        ln 4 - 1/gamma - ln gamma + ln(2 pi)/2 - (ln r)/2
-            + r log1p(1/(2 beta)) + tail(r),
-
-    every term O(1) or a log: the terms of size r ln r cancel exactly
-    before any is formed.  tail(r) is Stirling's series from r = 10 on, and
-    math.lgamma below, where none of its terms is large.
-    """
-    r = (2.0 * b + 1.0) / g
-    if r < _STIRLING_FROM:
-        tail = math.lgamma(r) - (r - 0.5) * math.log(r) + r - _HALF_LOG_2PI
-    else:
-        tail = _stirling_tail(r)
-    return (
-        math.log(4.0) + _HALF_LOG_2PI - 1.0 / g - math.log(g) - 0.5 * math.log(r)
-        + r * math.log1p(0.5 / b) + tail
-    )
-
-
-def _log_rescaled_energy(b, g):
-    """`_log_rescaled_energy_one` on 1-d arrays of beta and gamma.  The rules
-    below score one grid row or one poll per call, so a loop over
-    floats costs less here than a chain of array operations."""
-    return np.fromiter(map(_log_rescaled_energy_one, b.tolist(), g.tolist()), float, len(b))
-
-
-def _flat_pairs(betas, gammas):
-    """(beta, gamma) broadcast against each other and flattened, the
-    broadcast shape, and whether both inputs were scalars."""
-    scalar = np.ndim(betas) == 0 and np.ndim(gammas) == 0
-    b, g = np.broadcast_arrays(
-        *np.atleast_1d(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float))
-    )
-    return b.ravel(), g.ravel(), b.shape, scalar
-
-
 def _morse_similarity(betas, gammas, other):
     """alpha^2 between the peak-rescaled Morse spectra (betas, gammas),
     broadcast against each other, and one other spectrum S_o.
@@ -560,10 +511,14 @@ def _morse_similarity(betas, gammas, other):
     S_o^2 dw, and the window in u = ln w (u_lo < 0 < u_hi).  The Morse
     self-energies are closed form.  The cross integral int S_m S_o dw is the
     rule above, with each level's new nodes in blocks of at most
-    _TRAPEZOID_BLOCK values; each cell halves its own step, so a row call
+    _TRAPEZOID_BLOCK values; each cell halves its own step, so a grid call
     equals the scalar calls bit for bit.
     """
-    b, g, shape, scalar = _flat_pairs(betas, gammas)
+    scalar = np.ndim(betas) == 0 and np.ndim(gammas) == 0
+    b, g = np.broadcast_arrays(
+        *np.atleast_1d(np.asarray(betas, dtype=float), np.asarray(gammas, dtype=float))
+    )
+    shape, b, g = b.shape, b.ravel(), g.ravel()
     log_factor, log_energy, u_lo, u_hi = other(b, g)
 
     def sums(cells, u):
@@ -659,8 +614,8 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
     moves alone stall.  The trace records every coarse-grid evaluation in
     row-major order, then the refinement path.
 
-    alpha^2 comes from `_bessel_alpha_sq`, one beta row of the grid at a
-    time, which scores each point as a single call would; the tests hold
+    alpha^2 comes from `_bessel_alpha_sq`, the whole coarse grid in one
+    call, which scores each point as a single call would; the tests hold
     it to the double-exponential oracle `similarity_alpha_sq`.
 
     The refinement scores a poll's remaining moves, those that clipping to
@@ -681,26 +636,16 @@ def bessel_fit(grid: BesselFitGrid | None = None) -> FitResult:
 
     betas = np.geomspace(grid.beta_lo, grid.beta_hi, grid.n_beta)
     gammas = np.geomspace(grid.gamma_lo, grid.gamma_hi, grid.n_gamma)
-    trace = []
-    best = (-1.0, grid.beta_lo, grid.gamma_lo)
-    for b in betas:
-        row = _bessel_alpha_sq(b, gammas)
-        for g, a2 in zip(gammas, row):
-            trace.append((float(b), float(g), float(a2)))
-            if a2 > best[0]:
-                best = (float(a2), float(b), float(g))
+    scan = _bessel_alpha_sq(betas[:, None], gammas).tolist()
+    trace = [(b, g, a2) for b, row in zip(betas.tolist(), scan)
+             for g, a2 in zip(gammas.tolist(), row)]
+    best = max(trace, key=lambda t: t[2])  # the first best: max replaces on a strict >
 
     # pattern-search refinement in log coordinates, clipped to the box
     log_lo = np.log(np.array([grid.beta_lo, grid.gamma_lo]))
     log_hi = np.log(np.array([grid.beta_hi, grid.gamma_hi]))
-    x = np.log(np.array([best[1], best[2]]))
-    fx = best[0]
-    step = float(
-        max(
-            np.log(betas[1] / betas[0]),
-            np.log(gammas[1] / gammas[0]),
-        )
-    )
+    x, fx = np.log(np.array(best[:2])), best[2]
+    step = float(max(np.log(betas[1] / betas[0]), np.log(gammas[1] / gammas[0])))
     while step >= 1e-3:
         improved = False
         first = 0  # the poll's moves from `first` on are still to be scored

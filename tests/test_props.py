@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,93 @@ class TestEnergyMoment:
         t = moment_table(MorseParams(2, 3))
         assert set(t.m) == {0, 1, 2, 3}
         assert all(v > 0 for v in t.m.values())
+
+
+def _mpmath_log_energy_moment(mpmath, beta, gamma, n):
+    """ln a**2 Gamma(r)/(gamma 2**r), r = (2 beta + n + 1)/gamma, in mpmath
+    at the working precision."""
+    b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
+    r = (2 * b + (n + 1)) / g
+    log_a = mpmath.log(2) + (b / g) * (1 + mpmath.log(g) - mpmath.log(b))
+    return 2 * log_a + mpmath.loggamma(r) - mpmath.log(g) - r * mpmath.log(2)
+
+
+# P = sqrt(beta*gamma) from 0.8 to 1e5 in 23 log steps
+PIN_DURATIONS = np.geomspace(0.8, 1e5, 23).tolist()
+PIN_GAMMAS = (0.3, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0, 30.0)
+
+
+class TestLogEnergyMoment:
+    """The energy integrals' one closed form against mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0, 0.3])
+    def test_rescaled_energy_matches_mpmath(self, gamma):
+        # ln 4 + 2 beta/gamma - r ln(beta/gamma) + ln(int x**(2 beta)
+        # exp(-2 x**gamma) dx), from P = 1 to P = 1e4
+        mpmath = pytest.importorskip("mpmath")
+        p_dur = np.geomspace(1.0, 1e4, 41)
+        betas = p_dur**2 / gamma
+        got = props._log_rescaled_energy(betas, np.full_like(betas, gamma))
+        with mpmath.workdps(40):
+            g = mpmath.mpf(gamma)
+            for b, value in zip(betas, got):
+                b = mpmath.mpf(b)
+                r = (2 * b + 1) / g
+                want = (mpmath.log(4) + 2 * b / g - r * mpmath.log(b / g)
+                        + mpmath.loggamma(r) - mpmath.log(g) - r * mpmath.log(2))
+                assert abs(value - want) <= 1e-13, (float(b), gamma)
+
+    @pytest.mark.parametrize("p_dur", PIN_DURATIONS, ids=[f"P{p:.3g}" for p in PIN_DURATIONS])
+    def test_matches_mpmath(self, p_dur):
+        # the largest errors measured over this grid are 2.31e-15
+        # max(1, |ln m_n|) for the log and 8.4e-14 relative for m_n
+        mpmath = pytest.importorskip("mpmath")
+        for gamma in PIN_GAMMAS:
+            p = MorseParams(p_dur * p_dur / gamma, gamma)
+            for n in range(-1, 4):
+                with mpmath.workdps(40):
+                    want = _mpmath_log_energy_moment(mpmath, p.beta, gamma, n)
+                    want_m = float(mpmath.exp(want))
+                got = props.log_energy_moment(p, n)
+                assert abs(got - want) <= 2.5e-15 * max(1.0, abs(want)), (p, n)
+                assert energy_moment(p, n) == pytest.approx(want_m, rel=1e-13, abs=0), (p, n)
+
+    @pytest.mark.parametrize("gamma", [0.3, 2.0, 30.0])
+    def test_lowpass_matches_mpmath(self, gamma):
+        # beta = 0: ln(4 Gamma(r)/(gamma 2**r)), r = (n + 1)/gamma
+        mpmath = pytest.importorskip("mpmath")
+        for n in range(4):
+            with mpmath.workdps(40):
+                g, r = mpmath.mpf(gamma), mpmath.mpf(n + 1) / gamma
+                want = mpmath.log(4) + mpmath.loggamma(r) - mpmath.log(g) - r * mpmath.log(2)
+            got = props.log_energy_moment(MorseParams(0.0, gamma), n)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), n
+
+    @pytest.mark.parametrize("beta", [2e-16, 1e-16])
+    def test_extreme_gamma_raises(self, beta):
+        # r + n/gamma = 2 beta/gamma underflows to 0; the moment itself is
+        # finite (ln m_-1 = 36.84 and 37.53 by mpmath)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="out of range"):
+                props.log_energy_moment(MorseParams(beta, 1.7e308), -1)
+
+    @pytest.mark.parametrize("beta, gamma, n", [(1.0, 2.9e307, 1), (1e-300, 0.5, 0)])
+    def test_range_edges_accepted(self, beta, gamma, n):
+        # r = 1.03e-307, just inside the range, and a tiny normal beta
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = props.log_energy_moment(MorseParams(beta, gamma), n)
+        with mpmath.workdps(40):
+            want = _mpmath_log_energy_moment(mpmath, beta, gamma, n)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("beta, gamma, n", [(1e-310, 1.0, 0), (1.0, 4e307, 1), (1e5, 1e-26, 1)])
+    def test_outside_range_raises(self, beta, gamma, n):
+        # a subnormal beta, r = 7.5e-308 below the range, r = 2e31 above it
+        with pytest.raises(ValueError, match="out of range"):
+            props.log_energy_moment(MorseParams(beta, gamma), n)
 
 
 class TestSigmaOmega:

@@ -654,24 +654,9 @@ class TestMorseRhoSqRule:
 
 
 class TestClosedFormEnergies:
-    """The self-energies behind alpha^2 and rho^2 against mpmath at 40
-    digits, and the constants that replace scipy.special."""
-
-    @pytest.mark.parametrize("gamma", [1.0, 3.0, 0.3])
-    def test_morse_energy_matches_mpmath(self, gamma):
-        # ln 4 + 2 beta/gamma - r ln(beta/gamma) + ln(int x**(2 beta)
-        # exp(-2 x**gamma) dx), from P = 1 to P = 1e4
-        p_dur = np.geomspace(1.0, 1e4, 41)
-        betas = p_dur**2 / gamma
-        got = superfamily._log_rescaled_energy(betas, np.full_like(betas, gamma))
-        with mp.workdps(40):
-            g = mp.mpf(gamma)
-            for b, value in zip(betas, got):
-                b = mp.mpf(b)
-                r = (2 * b + 1) / g
-                want = (mp.log(4) + 2 * b / g - r * mp.log(b / g) + mp.loggamma(r)
-                        - mp.log(g) - r * mp.log(2))
-                assert abs(value - want) <= 1e-13, (float(b), gamma)
+    """The constants of the similarity integrals that replace scipy.special,
+    against scipy and mpmath.  The Morse self-energies are `props`'s, tested
+    there."""
 
     def test_bessel_energy_constant(self):
         from scipy.special import k1
