@@ -53,6 +53,7 @@ from . import __version__
 from .core import (
     MorseParams,
     _bisect,
+    _checked_peak_frequency,
     approx_spectrum,
     duration,
     eval_spectrum,
@@ -423,7 +424,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
     # every pair is checked before the first file is written
     pairs = [MorseParams(b, g) for b in betas for g in gammas]
     for p in pairs:
-        _TRANSFORM._checked_peak_frequency(p)
+        _checked_peak_frequency(p)
 
     index_rows = []
     for p in pairs:
@@ -759,7 +760,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

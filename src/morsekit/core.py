@@ -9,6 +9,11 @@ where ``U`` is the unit step and the amplitude ``a`` is chosen so that the
 spectrum peaks at the value 2.  All power/exponential evaluation is done in
 log space so that large ``beta`` (up to several hundred) neither overflows
 nor loses the peak normalization.
+
+`_analytic` applies U to the beta = 0 member and the named spectra of
+`superfamily`.  `eval_rescaled_spectrum` (beta > 0, the transform's filter)
+keeps its in-place form, whose log shape already gives 0 at w <= 0.  The one
+range check on w_p, `_checked_peak_frequency`, sits next to `peak_frequency`.
 """
 
 from __future__ import annotations
@@ -136,6 +141,17 @@ def peak_frequency(p: MorseParams) -> float:
     return float(np.exp((np.log(p.beta) - np.log(p.gamma)) / p.gamma))
 
 
+def _checked_peak_frequency(p: MorseParams) -> float:
+    """w_p for beta > 0, or a ValueError where it leaves double range."""
+    with np.errstate(over="ignore"):
+        wp = peak_frequency(p)
+    if not 0.0 < wp < math.inf:
+        word = "overflows" if wp else "underflows"
+        raise ValueError(f"peak frequency (beta/gamma)**(1/gamma) {word} double range "
+                         f"at beta={p.beta}, gamma={p.gamma}")
+    return wp
+
+
 def half_power_frequency(p: MorseParams) -> float:
     """Characteristic frequency of the beta = 0 lowpass member: the point
     where the spectrum has fallen to half its peak value, (ln 2)**(1/gamma)."""
@@ -174,6 +190,19 @@ def amplitude_constant(p: MorseParams) -> float:
     return float(np.exp(log_amplitude_constant(p)))
 
 
+def _analytic(omega, f):
+    """U(omega) f(omega): f on the entries w > 0 of ``omega`` alone, 0 at the
+    rest (nan included), with overflow and underflow in f silenced; a Python
+    float for a 0-d ``omega``.  The analytic step of every spectrum but that
+    of `eval_rescaled_spectrum`, which needs no mask."""
+    w = np.asarray(omega, dtype=float)
+    out = np.zeros_like(w)
+    pos = w > 0
+    with np.errstate(over="ignore", under="ignore"):
+        out[pos] = f(w[pos])
+    return float(out) if w.ndim == 0 else out
+
+
 def eval_spectrum(p: MorseParams, omega):
     """Evaluate the frequency-domain wavelet Psi(omega).
 
@@ -190,23 +219,13 @@ def eval_spectrum(p: MorseParams, omega):
     Returns
     -------
     float or ndarray
-        Nonnegative spectral values.  Zero for omega <= 0 (analyticity;
-        also exactly at omega = 0 for every beta >= 0), with underflow
-        flushed to zero.
+        Nonnegative spectral values: 0 at omega <= 0 and nan (the analytic
+        step, for every beta >= 0), and where the value underflows.
     """
     if p.beta > 0:
         return eval_rescaled_spectrum(p, np.asarray(omega) / peak_frequency(p))
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    pos = (w > 0) & np.isfinite(w)
-    if np.any(pos):
-        logw = np.log(w[pos])
-        # ln Psi = ln 2 - w**gamma: the amplitude constant is 2 at beta = 0
-        with np.errstate(over="ignore", under="ignore"):
-            out[pos] = np.exp(math.log(2.0) - np.exp(p.gamma * logw))
-    return float(out[0]) if scalar else out
+    # ln Psi = ln 2 - w**gamma: the amplitude constant is 2 at beta = 0
+    return _analytic(omega, lambda w: np.exp(math.log(2.0) - np.exp(p.gamma * np.log(w))))
 
 
 def _rescaled_log_shape(beta, gamma, log_omega, out=None):

@@ -38,7 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MorseParams, _bisect, _rescaled_log_shape, duration, eval_rescaled_spectrum
+from .core import (MorseParams, _analytic, _bisect, _rescaled_log_shape, duration,
+                   eval_rescaled_spectrum)
 from .props import _halving_trapezoid, _log_rescaled_energy, quadrature_integral
 
 __all__ = [
@@ -192,8 +193,7 @@ def morlet_spectrum(m: MorletParams, omega):
     The zero-mean correction makes the value negative on part of the
     negative-frequency axis: the wavelet is only approximately analytic.
     """
-    a = morlet_amplitude(m)
-    out = a * _morlet_unnormalized(omega, m.nu)
+    out = morlet_amplitude(m) * _morlet_unnormalized(omega, m.nu)
     return float(out) if np.ndim(omega) == 0 else out
 
 
@@ -288,21 +288,12 @@ def lognormal_spectrum(p_duration: float, omega):
     w <= 0; symmetric in w <-> 1/w with peak value 2 at unit frequency."""
     if not 0 < p_duration < math.inf:
         raise ValueError(f"duration must be finite and > 0 (got {p_duration})")
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    pos = w > 0
-    with np.errstate(under="ignore"):
-        out[pos] = 2.0 * np.exp(-0.5 * p_duration**2 * np.log(w[pos]) ** 2)
-    return float(out[0]) if scalar else out
+    return _analytic(omega, lambda w: 2.0 * np.exp(-0.5 * p_duration**2 * np.log(w) ** 2))
 
 
 def shannon_spectrum(omega):
     """Ideal band-pass rectangle: 2 on 0 < w <= 1, else 0."""
-    w = np.asarray(omega, dtype=float)
-    out = np.where((w > 0) & (w <= 1.0), 2.0, 0.0)
-    return float(out) if np.ndim(omega) == 0 else out
+    return _analytic(omega, lambda w: np.where(w <= 1.0, 2.0, 0.0))
 
 
 def shannon_time(t):
@@ -325,21 +316,12 @@ def bessel_spectrum(omega):
     Essentially zero at the origin (every derivative vanishes) and peak
     value 2 at unit frequency.
     """
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    pos = w > 0
-    with np.errstate(under="ignore", over="ignore"):
-        out[pos] = 2.0 * np.exp(2.0 - (w[pos] + 1.0 / w[pos]))
-    return float(out[0]) if scalar else out
+    return _analytic(omega, lambda w: 2.0 * np.exp(2.0 - (w + 1.0 / w)))
 
 
 def analytic_filter_spectrum(omega):
     """Twice the analytic filter: 2 for w > 0, 0 otherwise."""
-    w = np.asarray(omega, dtype=float)
-    out = np.where(w > 0, 2.0, 0.0)
-    return float(out) if np.ndim(omega) == 0 else out
+    return _analytic(omega, lambda w: 2.0)
 
 
 def analytic_filter_time_samples(n: int, dt: float):
@@ -355,8 +337,7 @@ def analytic_filter_time_samples(n: int, dt: float):
         raise ValueError("need n >= 16 and dt > 0")
     k = np.arange(n)
     spec = np.zeros(n)
-    pos = k[1 : n // 2 + 1]
-    spec[pos] = 2.0
+    spec[1 : n // 2 + 1] = 2.0
     values = np.roll(np.fft.ifft(spec), n // 2) / dt
     times = (k - n // 2) * dt
     return times, values
@@ -383,11 +364,11 @@ def gmw_wavelet(p: MorseParams) -> NamedWavelet:
 def morlet_wavelet(m: MorletParams | float) -> NamedWavelet:
     if not isinstance(m, MorletParams):
         m = MorletParams(float(m))
-    a = morlet_amplitude(m)
+    morlet_amplitude(m)  # solves and caches the peak, so nu < 0.1 raises here
     return NamedWavelet(
         kind="morlet",
         params=m,
-        spectrum=lambda w: a * _morlet_unnormalized(w, m.nu),
+        spectrum=lambda w: morlet_spectrum(m, w),
         full_line=True,
     )
 
@@ -474,11 +455,8 @@ def gaussianity_rho_sq(w: NamedWavelet) -> float:
         with np.errstate(under="ignore"):
             return 2.0 * np.exp(-rate * (x - wp) ** 2)
 
-    gw = NamedWavelet(
-        kind="gaussian_form", params=None, spectrum=gauss, full_line=w.full_line
-    )
-    num = _cross_integral(w, gw)
-    return float(num * num / (_cross_integral(w, w) * _cross_integral(gw, gw)))
+    gw = NamedWavelet(kind="gaussian_form", params=None, spectrum=gauss, full_line=w.full_line)
+    return similarity_alpha_sq(w, gw)
 
 
 # ---------------------------------------------------------------------------

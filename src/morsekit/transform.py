@@ -10,15 +10,17 @@ The grid's smallest scale puts the Nyquist rate where the spectrum has
 fallen to eta of its peak on its high-frequency flank.  That point, and
 the frequency where the spectrum underflows to exactly 0, are roots of
 level - Psi in u = ln(w/w_p), bisected by `core._bisect` to the last bit
-of u inside a closed-form bracket.
+of u inside a closed-form bracket.  `core._checked_peak_frequency` refuses
+a grid whose w_p leaves double range.
 
 The filter bank runs one scale row per task on as many threads as the
-process may use CPUs, the calling thread among them.  A row's filter is
-evaluated only on the bins below the frequency where the Morse spectrum
-underflows to exactly 0 (found once per transform), multiplied into the
-row, and the row is inverted by one-thread transforms, cropped and scaled
-into the output by the same thread.  The rows are stored scale-major, so
-the time x scale ``CwtResult.coefficients`` is a Fortran-ordered view.
+process may use CPUs, the calling thread among them.  A row's filter,
+`core.eval_spectrum` (mask-free and in place for beta > 0), is evaluated
+only on the bins below the frequency where the Morse spectrum underflows
+to exactly 0 (found once per transform), multiplied into the row, and the
+row is inverted by one-thread transforms, cropped and scaled into the
+output by the same thread.  The rows are stored scale-major, so the time
+x scale ``CwtResult.coefficients`` is a Fortran-ordered view.
 
 The non-periodic boundaries pad to m = next_pow2(2n) samples.  When m is
 exactly 2n (every power-of-two n), the mirror buffer is one period of the
@@ -50,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MorseParams, _bisect, duration, eval_spectrum, peak_frequency
+from .core import (MorseParams, _bisect, _checked_peak_frequency, duration, eval_spectrum,
+                   peak_frequency)
 
 __all__ = [
     "SignalBuffer",
@@ -155,17 +158,6 @@ class CwtResult:
         if c.ndim != 2 or c.shape[1] != len(self.scales):
             raise ValueError("coefficient matrix must be time x scale")
         object.__setattr__(self, "coefficients", c)
-
-
-def _checked_peak_frequency(p: MorseParams) -> float:
-    """w_p for beta > 0, or a ValueError where it leaves double range."""
-    with np.errstate(over="ignore"):
-        wp = peak_frequency(p)
-    if not 0.0 < wp < math.inf:
-        word = "overflows" if wp else "underflows"
-        raise ValueError(f"peak frequency (beta/gamma)**(1/gamma) {word} double range "
-                         f"at beta={p.beta}, gamma={p.gamma}")
-    return wp
 
 
 def _flank_frequency(p: MorseParams, level: float) -> float:

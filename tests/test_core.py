@@ -23,6 +23,12 @@ from morsekit.core import (
     rescaled_log_spectrum_derivatives,
     sample_wavelet,
 )
+from morsekit.superfamily import (
+    analytic_filter_spectrum,
+    bessel_spectrum,
+    lognormal_spectrum,
+    shannon_spectrum,
+)
 
 # log-uniform parameter strategies on the documented validity ranges
 betas = st.floats(min_value=math.log(1e-3), max_value=math.log(500.0)).map(math.exp)
@@ -137,6 +143,28 @@ class TestAmplitude:
         assert eval_spectrum(p, wp * (1 - 1e-3)) < 2.0
 
 
+def _beta_zero(g):
+    # exp(ln a + beta ln w - w**gamma) with ln a = ln 2 and beta = 0
+    return pytest.param(
+        lambda w: eval_spectrum(MorseParams(0, g), w),
+        lambda w: np.exp(math.log(2.0) + 0.0 * np.log(w) - np.exp(g * np.log(w))),
+        0.0,
+        id=str(g),
+    )
+
+
+# every spectrum with the analytic step U(w), its plain formula for finite
+# w > 0, and its limit at w = +inf
+ANALYTIC_SPECTRA = [_beta_zero(g) for g in (0.02, 1.0, 3.0, 60.0)] + [
+    pytest.param(lambda w: lognormal_spectrum(3.0, w),
+                 lambda w: 2.0 * np.exp(-0.5 * 3.0**2 * np.log(w) ** 2), 0.0, id="lognormal"),
+    pytest.param(shannon_spectrum, lambda w: np.where(w <= 1.0, 2.0, 0.0), 0.0, id="shannon"),
+    pytest.param(bessel_spectrum, lambda w: 2.0 * np.exp(2.0 - (w + 1.0 / w)), 0.0, id="bessel"),
+    pytest.param(analytic_filter_spectrum, lambda w: np.full_like(w, 2.0), 2.0,
+                 id="analytic_filter"),
+]
+
+
 class TestEvalSpectrum:
     def test_analyticity(self):
         p = MorseParams(2, 3)
@@ -160,18 +188,23 @@ class TestEvalSpectrum:
         assert eval_spectrum(MorseParams(2, 3), 1e4) == 0.0
         assert eval_spectrum(MorseParams(2, 3), math.inf) == 0.0
 
-    @pytest.mark.parametrize("g", [0.02, 1.0, 3.0, 60.0])
-    def test_beta_zero_bitwise_equal_to_the_amplitude_form(self, g):
-        # exp(ln a + beta ln w - w**gamma) with ln a = ln 2 and beta = 0
+    @pytest.mark.parametrize("spectrum, formula, at_inf", ANALYTIC_SPECTRA)
+    @pytest.mark.filterwarnings("error")  # no RuntimeWarning may escape the step
+    def test_beta_zero_bitwise_equal_to_the_amplitude_form(self, spectrum, formula, at_inf):
         rng = np.random.default_rng(1)
         w = np.concatenate([[0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324,
                              1e-300, 1e300], np.exp(rng.uniform(-50.0, 50.0, 400))])
-        pos = (w > 0) & np.isfinite(w)
-        want = np.zeros_like(w)
+        out = spectrum(w)
+        pos = w > 0
+        assert not out[~pos].any() and np.all(np.isfinite(out[pos]))
+        want = np.where(w == math.inf, at_inf, 0.0)
+        finite = pos & np.isfinite(w)
         with np.errstate(over="ignore", under="ignore"):
-            logw = np.log(w[pos])
-            want[pos] = np.exp(math.log(2.0) + 0.0 * logw - np.exp(g * logw))
-        assert eval_spectrum(MorseParams(0, g), w).tobytes() == want.tobytes()
+            want[finite] = formula(w[finite])
+        assert out.tobytes() == want.tobytes()
+        scalars = [spectrum(x) for x in w.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == want.tobytes()
 
 
 class TestRescaledSpectrum:
