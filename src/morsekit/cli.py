@@ -1,6 +1,8 @@
-"""Command-line interface: emits the library's parameter-space map, wavelet
-gallery, concentration curves, property tables, transform coefficients,
-Bessel-fit results, and limiting-form diagnostics as CSV or JSON.
+"""Command-line interface: parses and checks the options, takes each table
+from one library call, and writes it as CSV or JSON.  The numbers come from
+`props` (`heisenberg_map`, `zero_skewness_gamma`, `property_summary`),
+`core.gallery_tables`, `superfamily` (`concentration_curves`, `bessel_fit`,
+`limit_diagnostics`) and `transform`; an undefined cell is written blank.
 
 Each subcommand's parser names its handler (``set_defaults(run=...)``),
 which ``main`` calls with the parsed arguments as its whole config: the
@@ -9,28 +11,22 @@ them through one table, ``_PARSERS``.
 
 Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
-undefined cells blank.  One writer serves every command.  Each float
-array table written as CSV (the `map` area table, the `gallery` pair
-tables, the `besselfit` trace, the `limits` table and the `cwt`
-coefficients) is written one block of at most ``_FORMAT_CELLS`` cells at
-a time by ``_write_lines``, every float of a block through a single repr
-of a list, as are the `cwt` JSON coefficients, a block of rows at a time.  The other
-tables (`curves` and `props`, whose rows hold blanks or integers, the
-`gallery` index, and the three short `map` lists of curves and lines) are
-written one row at a time.  A CSV table, or the `cwt` JSON, is held as
-at most one formatted block, never the whole text; every other JSON
-table is built whole, as Python rows and then one ``json.dumps`` text.
+undefined cells blank.  Each float array table written as CSV (the `map`
+area table, the `gallery` pair tables, the `besselfit` trace, the `limits`
+table and the `cwt` coefficients), and the `cwt` JSON coefficients, is
+written by ``_write_lines`` one block of at most ``_FORMAT_CELLS`` cells at
+a time, every float of a block through a single repr of a list; the other
+tables (`curves`, `props`, the `gallery` index and the three short `map`
+lists) one row at a time.  A CSV table, or the `cwt` JSON, is held as at
+most one formatted block, never the whole text; every other JSON table is
+built whole, as Python rows and then one ``json.dumps`` text.
 
-``_write_lines`` has any table of more than one block of rows (the `map`
-area table, the default `besselfit` trace, the `cwt` CSV, each part of the
-`cwt` JSON coefficients) formatted by forked worker processes, one per CPU
-the transform's threads use: worker k of W formats blocks k, k + W,
-k + 2W, ... with the same block formatter and sends them as
-length-prefixed records through a buffered file on its own pipe, and the
-parent copies the blocks to the output in row order, at most 64 KB at a
-time.  The parent then holds one such piece and each worker one block of
-text; the bytes are those of the in-process writer.  One block, one CPU,
-or no ``os.fork`` writes in-process.
+``_write_lines`` has a table of more than one block formatted by forked
+workers, one per CPU (`core.CPU_COUNT`): worker k of W formats blocks k,
+k + W, ... and sends them as length-prefixed records through its own pipe,
+and the parent copies them to the output in row order, at most 64 KB at a
+time, with the bytes of the in-process writer.  One block, one CPU, or no
+``os.fork`` writes in-process.
 """
 
 from __future__ import annotations
@@ -49,33 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .core import (
-    MorseParams,
-    _bisect,
-    _checked_peak_frequency,
-    approx_spectrum,
-    duration,
-    eval_spectrum,
-    half_power_frequency,
-    peak_frequency,
-    sample_wavelet,
-)
-from .props import _heisenberg_area, _skewness, property_summary
-from .superfamily import (
-    BesselFitGrid,
-    _morlet_area_and_rho_sq,
-    _morlet_min_duration,
-    _morse_rho_sq,
-    bessel_fit,
-    limit_diagnostics,
-    morlet_nu_for_duration,
-)
+from . import __version__, core
+from .core import MorseParams, gallery_tables, half_power_frequency
+from .props import heisenberg_map, property_summary, zero_skewness_gamma
+from .superfamily import BesselFitGrid, bessel_fit, concentration_curves, limit_diagnostics
 from .transform import SignalBuffer, scale_grid, transform
-
-# the module, not the function of the same name: its thread count is
-# read at call time, so one setting serves the transform and the formatter
-_TRANSFORM = sys.modules[SignalBuffer.__module__]
 
 # cells in one block of rows formatted at once (about 0.7 MB of `cwt`
 # text), and the most the parent reads from a worker's pipe at once
@@ -84,8 +58,6 @@ _PIECE_BYTES = 1 << 16
 
 DEFAULT_P_LINES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
 GALLERY_VALUES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
-GALLERY_COLUMNS = ("time_scaled", "wavelet_real", "wavelet_imag", "wavelet_modulus",
-                   "freq_scaled", "spectrum", "gaussian_approx", "quartic_approx")
 
 def _describe(args: argparse.Namespace) -> str:
     """The run as one line: the command, the format and every option,
@@ -125,6 +97,12 @@ def _jsonable(v):
         return int(v)
     v = float(v)
     return v if math.isfinite(v) else repr(v)  # "inf", "-inf", "nan"
+
+
+def _blank(values, defined) -> list[list]:
+    """The rows of a 2-D array as lists, None (a blank cell) where not ``defined``."""
+    return [[v if ok else None for v, ok in zip(row, oks)]
+            for row, oks in zip(values.tolist(), defined.tolist())]
 
 
 @contextlib.contextmanager
@@ -181,12 +159,12 @@ def _cwt_csv_block(times, coef) -> str:
 def _write_lines(f, n_rows: int, row_cells: int, block):
     """Write ``block(i0, i1)``, the text of rows i0..i1-1, for blocks of
     at most ``_FORMAT_CELLS`` cells in row order: in-process when the rows
-    fit in one block, when the transform uses one CPU, or without
+    fit in one block, when ``core.CPU_COUNT`` is 1, or without
     ``os.fork``; else formatted by forked workers, block b by worker
     b mod W, and copied from their pipes in row order."""
     per_block = max(1, _FORMAT_CELLS // row_cells)
     blocks = [(i, min(i + per_block, n_rows)) for i in range(0, n_rows, per_block)]
-    workers = min(_TRANSFORM._FFT_WORKERS, len(blocks))
+    workers = min(core.CPU_COUNT, len(blocks))
     if workers < 2 or not hasattr(os, "fork"):
         for i0, i1 in blocks:
             f.write(block(i0, i1))
@@ -375,88 +353,41 @@ _PARSERS = {
 # ---------------------------------------------------------------------------
 
 
-def _zero_skewness_rows(betas, g_lo: float, g_hi: float) -> list[tuple[float, float]]:
-    """(beta, gamma*) for every beta > 0 whose frequency skewness changes
-    sign between g_lo and g_hi, all rows bisected at once."""
-    b = np.array([v for v in betas if v > 0], dtype=float)
-    b = b[_skewness(b, g_lo) * _skewness(b, g_hi) < 0]
-    lo, hi = np.full_like(b, g_lo), np.full_like(b, g_hi)
-    return list(zip(b.tolist(), _bisect(lambda g: _skewness(b, g), lo, hi).tolist()))
-
-
 def cmd_map(args: argparse.Namespace) -> int:
     betas = args.beta
     gammas = args.gamma
     # the first row and column hold every value, so MorseParams rejects the
     # first bad cell in beta-major order, in its own words
-    for b, g in [(b, g) for b in betas[:1] for g in gammas] + [
-        (b, g) for b in betas for g in gammas[:1]
-    ]:
+    for b, g in [(betas[0], g) for g in gammas] + [(b, gammas[0]) for b in betas]:
         MorseParams(b, g)
 
-    b_grid, g_grid = np.meshgrid(betas, gammas, indexing="ij")
-    areas = _heisenberg_area(b_grid, g_grid)
-    _write_table(
-        args,
-        "heisenberg_map",
-        ("beta", "gamma", "heisenberg_area"),
-        np.column_stack((b_grid.ravel(), g_grid.ravel(), areas.ravel())),
-    )
+    _write_table(args, "heisenberg_map", ("beta", "gamma", "heisenberg_area"),
+                 heisenberg_map(betas, gammas))
 
-    sk_rows = _zero_skewness_rows(betas, min(gammas), max(gammas))
+    gamma_star, defined = zero_skewness_gamma(betas, min(gammas), max(gammas))
+    sk_rows = [(b, g) for b, g, ok in zip(betas, gamma_star.tolist(), defined.tolist()) if ok]
     _write_table(args, "skewness_zero", ("beta", "gamma_star"), sk_rows)
 
     loc_rows = [(g, (g - 1.0) / 2.0) for g in gammas if g >= 1.0]
     _write_table(args, "localization_border", ("gamma", "beta_border"), loc_rows)
 
-    p_rows = []
-    for p_val in args.p_lines:
-        for g in gammas:
-            p_rows.append((p_val, p_val**2 / g, g))
+    p_rows = [(p_val, p_val**2 / g, g) for p_val in args.p_lines for g in gammas]
     _write_table(args, "constant_p_lines", ("duration", "beta", "gamma"), p_rows)
     return 0
 
 
 def cmd_gallery(args: argparse.Namespace) -> int:
-    betas = args.beta
-    gammas = args.gamma
-    n = 511  # odd: symmetric time grid, and the frequency grid hits 1 exactly
-    # every pair is checked before the first file is written
-    pairs = [MorseParams(b, g) for b in betas for g in gammas]
-    for p in pairs:
-        _checked_peak_frequency(p)
-
+    pairs = [MorseParams(b, g) for b in args.beta for g in args.gamma]
     index_rows = []
-    for p in pairs:
+    # gallery_tables checks every pair before its first table, so before any file
+    for p, (wp, pd, columns) in zip(pairs, gallery_tables(pairs)):
         b, g = p.beta, p.gamma
-        wp, pd = peak_frequency(p), duration(p)
-        t_span = 20.0 * pd / wp
-        wf = sample_wavelet(p, 1.0, n, t_span / n)
-        freq_scaled = np.linspace(0.0, 3.0, n)
-        columns = (
-            wf.times * wp / pd,
-            wf.values.real,
-            wf.values.imag,
-            # libm's hypot, as abs() on each value; np.abs's vectorized
-            # loop can differ from it in the last bit
-            np.hypot(wf.values.real, wf.values.imag),
-            freq_scaled,
-            eval_spectrum(p, freq_scaled * wp),
-            approx_spectrum(p, freq_scaled * wp, order=2),
-            approx_spectrum(p, freq_scaled * wp, order=4),
-        )
         stem = f"pair_beta{_fmt(b)}_gamma{_fmt(g)}".replace(".", "p")
-        _write_table(
-            args,
-            stem,
-            GALLERY_COLUMNS,
-            np.column_stack(columns),
-            meta={"beta": b, "gamma": g, "peak_frequency": wp, "duration": pd},
-        )
+        _write_table(args, stem, tuple(columns), np.column_stack(tuple(columns.values())),
+                     meta={"beta": b, "gamma": g, "peak_frequency": wp, "duration": pd})
         index_rows.append((_out_file(args, stem).name, b, g, wp, pd))
-    _write_table(
-        args, "index", ("file", "beta", "gamma", "peak_frequency", "duration"), index_rows
-    )
+    _write_table(args, "index", ("file", "beta", "gamma", "peak_frequency", "duration"),
+                 index_rows)
     return 0
 
 
@@ -466,31 +397,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
     columns = ["duration"]
     columns += [f"inv_area_gamma{_fmt(g)}" for g in gammas] + ["inv_area_morlet"]
     columns += [f"rho2_gamma{_fmt(g)}" for g in gammas] + ["rho2_morlet"]
-
-    # each Morse column kind in one call on the whole (P, gamma) grid
-    g_row = np.asarray(gammas, dtype=float)
-    b_grid = np.square(p_grid)[:, None] / g_row
-    inv_area = 1.0 / _heisenberg_area(b_grid, g_row)
-    # beta = 0 (P = 0) has no rho^2: a placeholder beta, then a blank cell
-    rho = _morse_rho_sq(np.where(b_grid > 0, b_grid, 1.0), g_row)
-
-    # the Morlet columns in one call at matched duration; a P the Morlet
-    # cannot reach gets a placeholder P, then blank cells
-    p_min = _morlet_min_duration()
-    reach = np.asarray(p_grid) > p_min
-    m_area, m_rho = _morlet_area_and_rho_sq(
-        morlet_nu_for_duration(np.where(reach, p_grid, 3.0))
-    )
-    morlet = [(1.0 / a, r) if ok else (None, None)
-              for ok, a, r in zip(reach.tolist(), m_area.tolist(), m_rho.tolist())]
-    rows = []
-    for p_dur, b_row, a_row, r_row, (m_inv, m_r) in zip(
-        p_grid, b_grid.tolist(), inv_area.tolist(), rho.tolist(), morlet
-    ):
-        inv_a = [a if b > 0.5 else None for b, a in zip(b_row, a_row)]
-        rho_sq = [r if b > 0 else None for b, r in zip(b_row, r_row)]
-        rows.append([p_dur] + inv_a + [m_inv] + rho_sq + [m_r])
-    short = [p_dur for p_dur in p_grid if p_dur <= p_min]
+    (inv_area, area_ok), (rho_sq, rho_ok), p_min = concentration_curves(p_grid, gammas)
+    rows = [[p_dur] + a + r for p_dur, a, r in zip(p_grid, _blank(inv_area, area_ok),
+                                                   _blank(rho_sq, rho_ok))]
+    short = [p_dur for p_dur, ok in zip(p_grid, rho_ok[:, -1].tolist()) if not ok]
     if short:
         print(
             f"warning: Morlet columns blank for P in [{min(short):g}, {max(short):g}]: "
@@ -502,17 +412,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_props(args: argparse.Namespace) -> int:
-    columns = (
-        "beta",
-        "gamma",
-        "char_frequency",
-        "duration",
-        "sigma_t",
-        "sigma_omega",
-        "heisenberg_area",
-        "skewness",
-        "in_localization_region",
-    )
+    columns = ("beta", "gamma", "char_frequency", "duration", "sigma_t", "sigma_omega",
+               "heisenberg_area", "skewness", "in_localization_region")
     rows = []
     for b, g in args.pairs:
         p = MorseParams(b, g)

@@ -19,6 +19,7 @@ range check on w_p, `_checked_peak_frequency`, sits next to `peak_frequency`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,14 @@ __all__ = [
     "approx_spectrum",
     "sample_spectrum",
     "sample_wavelet",
+    "gallery_tables",
 ]
+
+# every CPU this process may run on: the transform's row threads and the
+# CLI's forked formatting workers, each read at call time, so one setting
+# serves both; the results do not depend on it
+CPU_COUNT = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -258,8 +266,9 @@ def _bisect(f, lo, hi):
     bracket.  A bracket's lower end keeps the sign f has at the initial lo,
     so f(lo) is evaluated once and each midpoint's sign compared with it.
     The package's one root finder: the Morlet peak frequency and nu
-    (`superfamily`), the zero-skewness curve (`cli` map), and the smallest
-    scale and support cut of the transform (`transform._flank_frequency`)."""
+    (`superfamily`), the zero-skewness curve (`props.zero_skewness_gamma`),
+    and the smallest scale and support cut of the transform
+    (`transform._flank_frequency`)."""
     neg_lo = np.signbit(f(lo))
     mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
@@ -460,3 +469,33 @@ def sample_wavelet(
     values = np.roll(np.fft.ifft(spec), n // 2) / dt
     times = (k - n // 2) * dt
     return SampledWaveform(times=times, values=values)
+
+
+def gallery_tables(pairs):
+    """The `gallery` columns of each MorseParams in ``pairs``, a generator
+    of (w_p, P, columns) per pair: the wavelet at scale 1 on 511 samples
+    over 20 P / w_p, against t w_p / P, and the spectrum with its order-2
+    and order-4 approximants on w / w_p in [0, 3].  ``columns`` maps each
+    column's name to its array.  Its first step checks every pair's w_p
+    (`_checked_peak_frequency`), so an out-of-range pair raises before any
+    pair's columns are made."""
+    pairs = list(pairs)
+    for p in pairs:
+        _checked_peak_frequency(p)
+    n = 511  # odd: symmetric time grid, and the frequency grid hits 1 exactly
+    freq_scaled = np.linspace(0.0, 3.0, n)
+    for p in pairs:
+        wp, pd = peak_frequency(p), duration(p)
+        wf = sample_wavelet(p, 1.0, n, 20.0 * pd / wp / n)
+        yield wp, pd, {
+            "time_scaled": wf.times * wp / pd,
+            "wavelet_real": wf.values.real,
+            "wavelet_imag": wf.values.imag,
+            # libm's hypot, as abs() on each value; np.abs's vectorized
+            # loop can differ from it in the last bit
+            "wavelet_modulus": np.hypot(wf.values.real, wf.values.imag),
+            "freq_scaled": freq_scaled,
+            "spectrum": eval_spectrum(p, freq_scaled * wp),
+            "gaussian_approx": approx_spectrum(p, freq_scaled * wp, order=2),
+            "quartic_approx": approx_spectrum(p, freq_scaled * wp, order=4),
+        }

@@ -10,13 +10,11 @@ and the self-energies behind `superfamily`'s alpha^2 and rho^2): the
 peak-rescaled self-energy `_log_rescaled_energy_one` and ratios to it from
 one Stirling-difference kernel (`_log_gamma_ratio`), neither of which forms
 the r ln r terms that cancel.  The ratio kernels act on raw (beta, gamma)
-arrays that broadcast over a whole grid of the parameter plane; the
-MorseParams functions wrap them.  An independent quadrature oracle
-(`quadrature_moment`, `quadrature_integral`) checks every closed form; no
-CLI command calls it.  It is one double-exponential rule: a fixed map of
-(0, inf), (0, upper) or the real line onto t, then the trapezoid rule in
-t by `_halving_trapezoid`, the package's one loop that halves a step until
-two sums agree, which `superfamily`'s rule in ln w shares.
+arrays; the MorseParams functions wrap them, and the `map` tables,
+`heisenberg_map` and `zero_skewness_gamma`, run them over a grid.  An
+independent quadrature oracle (`quadrature_moment`, `quadrature_integral`),
+one double-exponential rule whose step `_halving_trapezoid` halves (the
+loop that `superfamily`'s rule in ln w shares), checks every closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MorseParams, duration, peak_frequency
+from .core import MorseParams, _bisect, duration, peak_frequency
 
 __all__ = [
     "PropertySummary",
@@ -42,6 +40,8 @@ __all__ = [
     "heisenberg_area",
     "skewness_freq",
     "property_summary",
+    "heisenberg_map",
+    "zero_skewness_gamma",
     "quadrature_moment",
     "quadrature_integral",
 ]
@@ -365,6 +365,32 @@ def property_summary(p: MorseParams) -> PropertySummary:
         heisenberg_area=heisenberg_area(p),
         skewness=skewness_freq(p),
     )
+
+
+def heisenberg_map(betas, gammas):
+    """The Heisenberg area over the grid ``betas`` x ``gammas`` (beta >= 0,
+    gamma > 0): one row (beta, gamma, area) per cell, beta-major, with the
+    area +inf where beta <= 1/2."""
+    b_grid, g_grid = np.meshgrid(betas, gammas, indexing="ij")
+    areas = _heisenberg_area(b_grid, g_grid)
+    return np.column_stack((b_grid.ravel(), g_grid.ravel(), areas.ravel()))
+
+
+def zero_skewness_gamma(betas, g_lo: float, g_hi: float):
+    """The gamma* in [g_lo, g_hi] at which the frequency skewness of
+    (beta, gamma*) is zero, for each of ``betas`` (1-d), as (gamma_star,
+    defined): ``defined`` is False, and gamma* nan, where beta <= 0 or the
+    skewness does not change sign between g_lo and g_hi.  All rows are
+    bisected at once by `core._bisect`.  As beta grows, gamma* tends to 3."""
+    b = np.asarray(betas, dtype=float)
+    defined = b > 0
+    pos = b[defined]
+    defined[defined] = _skewness(pos, g_lo) * _skewness(pos, g_hi) < 0
+    b = b[defined]
+    gamma_star = np.full(defined.shape, np.nan)
+    gamma_star[defined] = _bisect(lambda g: _skewness(b, g), np.full_like(b, g_lo),
+                                  np.full_like(b, g_hi))
+    return gamma_star, defined
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,18 @@ and diagonal moves).  The fit scores the whole coarse grid, and each
 poll's remaining moves, at once by `_morse_similarity`: the closed-form
 self-energies of `props._log_rescaled_energy` and a trapezoid in
 ln(omega) for the cross integral, whose step each member halves in
-`props._halving_trapezoid`, the oracle's loop;
-`_morse_rho_sq` scores Gaussian similarity the same way on a whole grid,
-and `_morlet_area_and_rho_sq` gives the Morlet's area and similarity from
-Gaussian integrals in closed form.  The Morlet's peak frequency, and its
-nu at a given duration, are roots of monotone functions found by the
-array bisection `core._bisect`, the package's one root finder.  The
-double-exponential quadrature behind `similarity_alpha_sq` and
-`gaussianity_rho_sq` (`props.quadrature_integral`) stays the oracle.
-Growing beta at fixed gamma shrinks the relative bandwidth
-sigma_omega/omega_peak toward zero, so in that corner the members tend to
-pure complex exponentials (a diagnostic, not a constructible member).
+`props._halving_trapezoid`, the oracle's loop.  `concentration_curves`
+(the `curves` table) scores Morse Gaussian similarity the same way on a
+whole grid, by `_morse_rho_sq`, and the Morlet's area and similarity from
+Gaussian integrals in closed form, by `_morlet_area_and_rho_sq`.  The
+Morlet's peak frequency, and its nu at a given duration, are roots of
+monotone functions found by the array bisection `core._bisect`, the
+package's one root finder.  The double-exponential quadrature behind
+`similarity_alpha_sq` and `gaussianity_rho_sq` (`props.quadrature_integral`)
+stays the oracle.  Growing beta at fixed gamma shrinks the relative
+bandwidth sigma_omega/omega_peak toward zero, so in that corner the
+members tend to pure complex exponentials (a diagnostic, not a
+constructible member).
 
 Cross-family comparisons put every spectrum on a common footing: peak
 value 2, and for Morse members a frequency axis rescaled so the peak sits
@@ -40,7 +41,8 @@ import numpy as np
 
 from .core import (MorseParams, _analytic, _bisect, _rescaled_log_shape, duration,
                    eval_rescaled_spectrum)
-from .props import _halving_trapezoid, _log_rescaled_energy, quadrature_integral
+from .props import (_halving_trapezoid, _heisenberg_area, _log_rescaled_energy,
+                    quadrature_integral)
 
 __all__ = [
     "MorletParams",
@@ -65,6 +67,7 @@ __all__ = [
     "analytic_filter_wavelet",
     "similarity_alpha_sq",
     "gaussianity_rho_sq",
+    "concentration_curves",
     "bessel_fit",
     "limit_diagnostics",
 ]
@@ -570,6 +573,38 @@ def _morse_rho_sq(betas, gammas):
                 log_e_bell, u_lo, u_hi)
 
     return _morse_similarity(betas, gammas, bell)
+
+
+def concentration_curves(p_grid, gammas):
+    """The inverse Heisenberg area 1/A and the Gaussian similarity rho^2
+    against duration P, without quadrature: of the Morse members beta =
+    P^2/gamma for each of ``gammas``, and of the Morlet of duration P.
+
+    Returns ((inv_area, defined), (rho_sq, defined), p_min): each table has
+    a row per P and a column per gamma, the Morlet's last, and is nan where
+    its ``defined`` is False: a Morse 1/A where beta <= 1/2 (the area is
+    unbounded), a Morse rho^2 where beta = 0, and the Morlet cells where P
+    <= p_min = `_morlet_min_duration`, which no Morlet reaches.  A defined
+    cell may itself be nan.  Raises ValueError from P at the Morlet's
+    duration at nu = 200 on, and QuadratureError where a Morse spectrum is
+    too narrow for `_morse_rho_sq`.
+    """
+    # each column kind in one call on the whole (P, gamma) grid
+    g_row = np.asarray(gammas, dtype=float)
+    b_grid = np.square(p_grid)[:, None] / g_row
+    inv_area = 1.0 / _heisenberg_area(b_grid, g_row)
+    # placeholders keep undefined cells out of the kernels: beta = 1 for
+    # beta = 0 (P = 0), and P = 3 for a P that no Morlet reaches
+    rho = _morse_rho_sq(np.where(b_grid > 0, b_grid, 1.0), g_row)
+    p_min = _morlet_min_duration()
+    reach = np.asarray(p_grid) > p_min
+    m_area, m_rho = _morlet_area_and_rho_sq(morlet_nu_for_duration(np.where(reach, p_grid, 3.0)))
+
+    def table(morse, morlet, defined):
+        defined = np.column_stack((defined, reach))
+        return np.where(defined, np.column_stack((morse, morlet)), np.nan), defined
+
+    return table(inv_area, 1.0 / m_area, b_grid > 0.5), table(rho, m_rho, b_grid > 0), p_min
 
 
 # compass moves, then diagonal ones: along the ridge beta*gamma ~ 2.2 (the

@@ -13,9 +13,9 @@ level - Psi in u = ln(w/w_p), bisected by `core._bisect` to the last bit
 of u inside a closed-form bracket.  `core._checked_peak_frequency` refuses
 a grid whose w_p leaves double range.
 
-The filter bank runs one scale row per task on as many threads as the
-process may use CPUs, the calling thread among them.  A row's filter,
-`core.eval_spectrum` (mask-free and in place for beta > 0), is evaluated
+The filter bank runs one scale row per task on `core.CPU_COUNT` threads
+(every CPU the process may use), the calling thread among them.  A row's
+filter, `core.eval_spectrum` (mask-free and in place for beta > 0), is evaluated
 only on the bins below the frequency where the Morse spectrum underflows
 to exactly 0 (found once per transform), multiplied into the row, and the
 row is inverted by one-thread transforms, cropped and scaled into the
@@ -46,12 +46,12 @@ loads no scipy module.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (MorseParams, _bisect, _checked_peak_frequency, duration, eval_spectrum,
                    peak_frequency)
 
@@ -66,13 +66,6 @@ __all__ = [
 
 NORMALIZATIONS = ("bandpass_n1", "unitary_n_half")
 BOUNDARIES = ("periodic", "zero", "mirror")
-
-# the filter bank runs one row per thread on every CPU this process may
-# run on; the results do not depend on the count
-if hasattr(os, "sched_getaffinity"):
-    _FFT_WORKERS = len(os.sched_getaffinity(0))
-else:
-    _FFT_WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,7 @@ def _next_pow2(n: int) -> int:
 
 def _run_rows(n_rows: int, run_row, make_scratch=None):
     """Call ``run_row(j, scratch)`` once for each j in range(n_rows) on
-    min(_FFT_WORKERS, n_rows) threads, the calling thread among them.  Each
+    min(core.CPU_COUNT, n_rows) threads, the calling thread among them.  Each
     thread takes the next row until none is left, passing scratch of its
     own from ``make_scratch()`` (None if make_scratch is None).  The first
     error stops every thread from taking another row; once all are joined,
@@ -255,7 +248,7 @@ def _run_rows(n_rows: int, run_row, make_scratch=None):
 
     threads = []
     try:
-        for _ in range(min(_FFT_WORKERS, n_rows) - 1):
+        for _ in range(min(core.CPU_COUNT, n_rows) - 1):
             t = threading.Thread(target=work)
             t.start()
             threads.append(t)
@@ -299,9 +292,10 @@ def transform(
 
     Each row's filter is evaluated only below the frequency where the
     spectrum underflows to exactly 0.  Every scale row is one task:
-    _FFT_WORKERS threads (every CPU the process may use, the calling thread
-    among them) each take the next row, evaluate its filter, invert it with
-    one-thread transforms and write it, cropped and scaled, to the output.
+    `core.CPU_COUNT` threads (every CPU the process may use, the calling
+    thread among them) each take the next row, evaluate its filter, invert
+    it with one-thread transforms and write it, cropped and scaled, to the
+    output.
     Rows are written scale-major, so ``coefficients`` is a Fortran-ordered
     time x scale view.  Beyond the output, and the float64 or complex128
     cast of a narrower signal, the transform holds per thread one padded

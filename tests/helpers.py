@@ -13,6 +13,17 @@ import mpmath as mp
 ORACLE_BETAS = (0.6, 1.0, 2.0, 3.0, 9.0, 27.0)
 ORACLE_GAMMAS = (0.25, 0.5, 1.0, 2.0, 3.0, 6.0, 12.0)
 
+
+def log_grid(beta_range, gamma_range, cases: int) -> list[tuple[float, float]]:
+    """At least ``cases`` (beta, gamma) pairs: the product of two
+    log-uniform axes of ceil(sqrt(cases)) values each, ends included.  A
+    property test runs over it, so every run checks the same points."""
+    n = math.isqrt(cases - 1) + 1
+    axis = lambda lo, hi: [math.exp(math.log(lo) + k * (math.log(hi) - math.log(lo)) / (n - 1))
+                           for k in range(n)]
+    return [(b, g) for b in axis(*beta_range) for g in axis(*gamma_range)]
+
+
 _STENCILS = {
     1: (mp.mpf(1), mp.mpf(-8), mp.mpf(0), mp.mpf(8), mp.mpf(-1)),
     2: (mp.mpf(-1), mp.mpf(16), mp.mpf(-30), mp.mpf(16), mp.mpf(-1)),

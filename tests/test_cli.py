@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -5,17 +6,16 @@ import os
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morsekit import props, superfamily
+from morsekit import core, props, superfamily
 from morsekit.cli import _fmt, main
 from morsekit.core import MorseParams, peak_frequency
 from morsekit.transform import SignalBuffer, scale_grid, transform
 
-# the module, not the function of the same name the package exports
-TRANSFORM = sys.modules["morsekit.transform"]
 CLI = sys.modules["morsekit.cli"]
 
 
@@ -190,11 +190,11 @@ class TestMap:
     def test_forked_area_table_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch,
                                                              workers):
         args = ["--beta", "0.3:60:14", "--gamma", "0.3:30:12"]
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+        monkeypatch.setattr(core, "CPU_COUNT", 1)
         assert run("map", "--out", str(tmp_path / "serial"), *args) == 0
         # five rows a block: 168 rows end in a block of 3
         monkeypatch.setattr(CLI, "_FORMAT_CELLS", 5 * 3)
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        monkeypatch.setattr(core, "CPU_COUNT", workers)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -449,7 +449,7 @@ class TestCwt:
         path = tmp_path / "noise.txt"
         noise = np.random.default_rng(0).standard_normal(n).tolist()
         path.write_text("\n".join(map(repr, noise)) + "\n")
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
+        monkeypatch.setattr(core, "CPU_COUNT", 2)
         n_scales = len(scale_grid(n, MorseParams(9, 3), density=8))
         out = tmp_path / f"cwt.{fmt}"
         tracemalloc.start()
@@ -560,12 +560,12 @@ class TestCwtWorkers:
     def test_bytes_equal_the_serial_writer(self, tmp_path, capsys, monkeypatch, cosine_file,
                                            fmt, workers):
         path, _ = cosine_file
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+        monkeypatch.setattr(core, "CPU_COUNT", 1)
         serial = self._cwt(capsys, path, fmt, tmp_path / f"serial.{fmt}")
         # seven rows a block (CSV and JSON alike): 1024 rows end in a block of 2
         n_scales = len(scale_grid(1024, MorseParams(9, 3)))
         monkeypatch.setattr(CLI, "_FORMAT_CELLS", 7 * (n_scales + 1))
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        monkeypatch.setattr(core, "CPU_COUNT", workers)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -578,10 +578,10 @@ class TestCwtWorkers:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_block_never_forks(self, tmp_path, capsys, monkeypatch, cosine_file, fmt):
         path, _ = cosine_file
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+        monkeypatch.setattr(core, "CPU_COUNT", 1)
         serial = self._cwt(capsys, path, fmt, tmp_path / f"serial.{fmt}")
         monkeypatch.setattr(CLI, "_FORMAT_CELLS", 1 << 30)
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 3)
+        monkeypatch.setattr(core, "CPU_COUNT", 3)
 
         def no_fork():
             raise AssertionError("a table of one block forked")
@@ -593,7 +593,7 @@ class TestCwtWorkers:
                                                             monkeypatch, cosine_file):
         path, _ = cosine_file
         monkeypatch.setattr(CLI, "_FORMAT_CELLS", 1000)
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 2)
+        monkeypatch.setattr(core, "CPU_COUNT", 2)
 
         csv_block = CLI._cwt_csv_block
 
@@ -618,7 +618,7 @@ class TestCwtWorkers:
     ["map", "--beta", "1:10:5", "--gamma", "1:10:5", "--out", "{out}"],
 ])
 def test_one_block_tables_never_fork(tmp_path, monkeypatch, argv):
-    monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 3)
+    monkeypatch.setattr(core, "CPU_COUNT", 3)
 
     def no_fork():
         raise AssertionError("a table of one block forked")
@@ -947,7 +947,7 @@ class TestCwtCsvBlock:
         times, coef = table
         # three rows a block: 17 rows end in a block of 2
         monkeypatch.setattr(CLI, "_FORMAT_CELLS", 3 * (self.SCALES + 1))
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        monkeypatch.setattr(core, "CPU_COUNT", workers)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -974,3 +974,41 @@ class TestRealCsvBlocks:
             CLI._write_csv(f, ["note"], ["a"], block)
             expected = "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist())
             assert f.getvalue() == "# note\na\n" + expected
+
+
+class TestLibraryBoundary:
+    """`cli` parses, checks and formats; the library computes.  So `cli`
+    takes no private name from another morsekit module: it imports none,
+    reads none as an attribute of a morsekit module it imported, and looks
+    up no module in ``sys.modules``, which would hide such a read."""
+
+    def test_cli_reads_only_public_library_names(self):
+        def private(name):
+            return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+        tree = ast.parse(Path(CLI.__file__).read_text())
+        modules, found = set(), []  # the names cli binds to morsekit modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "morsekit"
+            ):
+                package = node.module in (None, "morsekit")  # `from . import core`
+                for alias in node.names:
+                    if private(alias.name):
+                        found.append(f"import of {alias.name} from {node.module or '.'}")
+                    elif package:
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update((a.asname or a.name).split(".")[0] for a in node.names
+                               if a.name.split(".")[0] == "morsekit")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules and private(node.attr):
+                found.append(f"read of {ast.unparse(node)}")
+            if isinstance(root, ast.Name) and root.id == "sys" and node.attr == "modules":
+                found.append(f"lookup in {ast.unparse(node)}")
+        assert found == []

@@ -3,8 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from helpers import log_grid
 
 from morsekit.core import (
     MorseParams,
@@ -17,6 +16,7 @@ from morsekit.core import (
     eval_rescaled_spectrum,
     eval_spectrum,
     expansion_coeffs,
+    gallery_tables,
     half_power_frequency,
     log_spectrum_derivatives,
     peak_frequency,
@@ -30,19 +30,18 @@ from morsekit.superfamily import (
     shannon_spectrum,
 )
 
-# log-uniform parameter strategies on the documented validity ranges
-betas = st.floats(min_value=math.log(1e-3), max_value=math.log(500.0)).map(math.exp)
-gammas = st.floats(min_value=math.log(0.02), max_value=math.log(20.0)).map(math.exp)
-
+# the documented validity ranges, which the property tests span log-uniformly
+RANGES = ((1e-3, 500.0), (0.02, 20.0))
 
 # the small-gamma corner where w_p**n leaves double range: d_n underflows
 # to 0 at (1, e^-3.875) and (e^3, e^-3.5), turns subnormal at (e^2, e^-3.5),
 # and wp**2 overflows at (e^4, e^-3.875)
-def small_gamma_examples(test):
-    test = example(b=1.0, g=math.exp(-3.875))(test)
-    test = example(b=math.exp(3.0), g=math.exp(-3.5))(test)
-    test = example(b=math.exp(2.0), g=math.exp(-3.5))(test)
-    return example(b=math.exp(4.0), g=math.exp(-3.875))(test)
+SMALL_GAMMA_CORNER = [
+    (1.0, math.exp(-3.875)),
+    (math.exp(3.0), math.exp(-3.5)),
+    (math.exp(2.0), math.exp(-3.5)),
+    (math.exp(4.0), math.exp(-3.875)),
+]
 
 
 class TestParams:
@@ -95,15 +94,13 @@ class TestDuration:
     def test_diagonal_invariance(self):
         assert duration(MorseParams(9, 1)) == duration(MorseParams(1, 9))
 
-    @given(b=betas, g=gammas)
-    @settings(max_examples=60, deadline=None)
-    @small_gamma_examples
-    def test_matches_second_log_derivative(self, b, g):
+    def test_matches_second_log_derivative(self):
         # P**2 = -wp**2 * d2, read off the peak-rescaled derivative
         # wp**2 * d2, which stays representable where wp**2 overflows
-        p = MorseParams(b, g)
-        r2 = rescaled_log_spectrum_derivatives(p, 2)[1]
-        assert math.sqrt(-r2) == pytest.approx(duration(p), rel=1e-10)
+        for b, g in log_grid(*RANGES, 60) + SMALL_GAMMA_CORNER:
+            p = MorseParams(b, g)
+            r2 = rescaled_log_spectrum_derivatives(p, 2)[1]
+            assert math.sqrt(-r2) == pytest.approx(duration(p), rel=1e-10), (b, g)
 
 
 class TestAmplitude:
@@ -128,19 +125,17 @@ class TestAmplitude:
         got = log_amplitude_constant(p)
         assert math.isfinite(got) and abs(got - want) <= 1e-14 * abs(want)
 
-    @given(b=betas, g=gammas)
-    @settings(max_examples=120, deadline=None)
-    def test_peak_value_two(self, b, g):
-        p = MorseParams(b, g)
-        assert eval_spectrum(p, peak_frequency(p)) == pytest.approx(2.0, rel=1e-12)
+    def test_peak_value_two(self):
+        for b, g in log_grid(*RANGES, 120):
+            p = MorseParams(b, g)
+            assert eval_spectrum(p, peak_frequency(p)) == pytest.approx(2.0, rel=1e-12), (b, g)
 
-    @given(b=betas, g=gammas)
-    @settings(max_examples=60, deadline=None)
-    def test_peak_is_maximal(self, b, g):
-        p = MorseParams(b, g)
-        wp = peak_frequency(p)
-        assert eval_spectrum(p, wp * (1 + 1e-3)) < 2.0
-        assert eval_spectrum(p, wp * (1 - 1e-3)) < 2.0
+    def test_peak_is_maximal(self):
+        for b, g in log_grid(*RANGES, 60):
+            p = MorseParams(b, g)
+            wp = peak_frequency(p)
+            assert eval_spectrum(p, wp * (1 + 1e-3)) < 2.0, (b, g)
+            assert eval_spectrum(p, wp * (1 - 1e-3)) < 2.0, (b, g)
 
 
 def _beta_zero(g):
@@ -376,26 +371,23 @@ class TestExpansionCoeffs:
         with pytest.raises(ValueError, match="^expansion coefficients require beta > 0$"):
             expansion_coeffs(MorseParams(0, 3))
 
-    @given(b=betas, g=gammas)
-    @settings(max_examples=60, deadline=None)
-    @small_gamma_examples
-    def test_consistent_with_log_derivatives(self, b, g):
+    def test_consistent_with_log_derivatives(self):
         # the coefficients must equal wp**n * d_n / n!, taken from the
         # peak-rescaled derivatives since wp**n alone can leave double range
-        p = MorseParams(b, g)
-        c = expansion_coeffs(p)
-        r = rescaled_log_spectrum_derivatives(p, 4)
-
         def check(coef, rn, fact):
             if coef == 0.0 or rn == 0.0:
-                assert coef == 0.0 and rn == 0.0
+                assert coef == 0.0 and rn == 0.0, (b, g)
                 return
-            assert math.copysign(1, coef) == math.copysign(1, rn)
-            assert abs(math.log(abs(coef) * fact) - math.log(abs(rn))) < 1e-9
+            assert math.copysign(1, coef) == math.copysign(1, rn), (b, g)
+            assert abs(math.log(abs(coef) * fact) - math.log(abs(rn))) < 1e-9, (b, g)
 
-        check(-c.duration_sq, r[1], 1.0)
-        check(c.cubic, r[2], 6.0)
-        check(c.quartic, r[3], 24.0)
+        for b, g in log_grid(*RANGES, 60) + SMALL_GAMMA_CORNER:
+            p = MorseParams(b, g)
+            c = expansion_coeffs(p)
+            r = rescaled_log_spectrum_derivatives(p, 4)
+            check(-c.duration_sq, r[1], 1.0)
+            check(c.cubic, r[2], 6.0)
+            check(c.quartic, r[3], 24.0)
 
 
 class TestApproxSpectrum:
@@ -543,3 +535,10 @@ class TestSampleWavelet:
     def test_dt_must_be_positive_and_finite(self, dt):
         with pytest.raises(ValueError, match=r"^dt must be positive and finite \(got "):
             sample_wavelet(MorseParams(9, 3), 1.0, 64, dt)
+
+
+class TestGalleryTables:
+    def test_every_pair_is_checked_before_the_first_table(self):
+        tables = gallery_tables([MorseParams(3.0, 3.0), MorseParams(0.5, 0.001)])
+        with pytest.raises(ValueError, match="overflows double range at beta=0.5, gamma=0.001"):
+            next(tables)

@@ -7,11 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 from scipy.special import gamma as gamma_function
-from hypothesis import strategies as st
 
-from helpers import ORACLE_BETAS, ORACLE_GAMMAS, log_trapezoid_integral
+from helpers import ORACLE_BETAS, ORACLE_GAMMAS, log_grid, log_trapezoid_integral
 from morsekit import props
 from morsekit.core import (
     MorseParams,
@@ -24,6 +22,7 @@ from morsekit.props import (
     QuadratureError,
     energy_moment,
     heisenberg_area,
+    heisenberg_map,
     mean_frequency,
     moment_table,
     property_summary,
@@ -32,6 +31,7 @@ from morsekit.props import (
     sigma_omega,
     sigma_t,
     skewness_freq,
+    zero_skewness_gamma,
 )
 
 
@@ -221,14 +221,9 @@ class TestHeisenbergArea:
     def test_infinite_below_half(self):
         assert heisenberg_area(MorseParams(0.4, 2)) == math.inf
 
-    @given(
-        b=st.floats(min_value=math.log(0.51), max_value=math.log(400.0)).map(math.exp),
-        g=st.floats(min_value=math.log(0.02), max_value=math.log(20.0)).map(math.exp),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_uncertainty_bound(self, b, g):
-        a = heisenberg_area(MorseParams(b, g))
-        assert a >= 0.5 - 1e-9
+    def test_uncertainty_bound(self):
+        for b, g in log_grid((0.51, 400.0), (0.02, 20.0), 150):
+            assert heisenberg_area(MorseParams(b, g)) >= 0.5 - 1e-9, (b, g)
 
     @pytest.mark.parametrize("g", [1.0, 2.0, 3.0])
     def test_decreasing_in_beta(self, g):
@@ -267,6 +262,40 @@ class TestSkewness:
         f = lambda g: skewness_freq(MorseParams(100, g))
         gstar = brentq(f, 1.5, 8.0)
         assert abs(gstar - 3.0) < 0.05
+
+
+class TestMapTables:
+    """The `map` tables, `heisenberg_map` and `zero_skewness_gamma`, against
+    the public scalar functions."""
+
+    def test_area_map_rows(self):
+        betas, gammas = [0.3, 0.5, 1.0, 9.0, 60.0], [0.3, 3.0, 30.0]
+        table = heisenberg_map(betas, gammas)
+        assert table[:, :2].tolist() == [[b, g] for b in betas for g in gammas]
+        for b, g, area in table.tolist():
+            # the grid/scalar tolerance of TestClosedFormPins; inf where beta <= 1/2
+            assert area == pytest.approx(heisenberg_area(MorseParams(b, g)), rel=1e-15, abs=0)
+
+    def test_zero_skewness_matches_brentq_on_the_default_map_range(self):
+        from scipy.optimize import brentq
+
+        betas = np.geomspace(0.55, 60.0, 200)
+        gamma_star, defined = zero_skewness_gamma(betas, 0.3, 30.0)
+        assert defined.all()
+        for b, g in zip(betas.tolist(), gamma_star.tolist()):
+            want = brentq(lambda x: skewness_freq(MorseParams(b, x)), 0.3, 30.0,
+                          xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            # measured: at most 4.3e-11, at beta = 55.9, where the skewness
+            # is so flat in gamma that its rounding moves the computed zero
+            assert abs(g - want) <= 1e-10, b
+
+    def test_zero_skewness_mask(self):
+        # beta <= 0 (and nan) has no skewness
+        gamma_star, defined = zero_skewness_gamma([0.0, -1.0, 9.0, math.nan], 1.0, 9.0)
+        assert defined.tolist() == [False, False, True, False]
+        assert np.isnan(gamma_star[~defined]).all() and 3.0 < gamma_star[2] < 3.1
+        # the skewness keeps its sign between gamma = 0.3 and 1
+        assert not zero_skewness_gamma([9.0, 60.0], 0.3, 1.0)[1].any()
 
 
 def _mpmath_area_and_skewness(beta, gamma):

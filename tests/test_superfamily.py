@@ -10,7 +10,8 @@ from helpers import (
     reference_bessel_fit,
 )
 from morsekit.core import MorseParams, eval_spectrum
-from morsekit.props import QuadratureError, quadrature_integral, quadrature_moment
+from morsekit.props import (QuadratureError, heisenberg_area, quadrature_integral,
+                            quadrature_moment)
 from morsekit.superfamily import (
     BesselFitGrid,
     MorletParams,
@@ -21,6 +22,7 @@ from morsekit.superfamily import (
     bessel_fit,
     bessel_spectrum,
     bessel_wavelet,
+    concentration_curves,
     gaussianity_rho_sq,
     gmw_wavelet,
     limit_diagnostics,
@@ -651,6 +653,57 @@ class TestMorseRhoSqRule:
         row = _morse_rho_sq(0.5**2 / gammas, gammas)
         for g, rho in zip(gammas, row):
             assert _morse_rho_sq(0.25 / g, g) == pytest.approx(rho, abs=1e-14)
+
+
+class TestConcentrationCurves:
+    """The `curves` table, `concentration_curves`, against the public scalar
+    calls cell by cell, and its ``defined`` masks against the three rules."""
+
+    P_GRID = [0.0, 0.5, 1.0, 1.4, 1.5, 2.0, 3.0, 6.0]
+    GAMMAS = [0.5, 1.0, 2.0, 3.0, 6.0]  # P = 1 at gamma = 2 is beta = 1/2 itself
+
+    def test_masks(self):
+        (inv_area, area_ok), (rho_sq, rho_ok), p_min = concentration_curves(self.P_GRID,
+                                                                             self.GAMMAS)
+        assert p_min == _morlet_min_duration()
+        assert inv_area.shape == area_ok.shape == rho_sq.shape == rho_ok.shape == (8, 6)
+        for i, p in enumerate(self.P_GRID):
+            for j, g in enumerate(self.GAMMAS):
+                assert area_ok[i, j] == (p * p / g > 0.5), (p, g)
+                assert rho_ok[i, j] == (p * p / g > 0), (p, g)
+            assert area_ok[i, -1] == rho_ok[i, -1] == (p > p_min), p
+        assert np.isnan(inv_area[~area_ok]).all() and np.isnan(rho_sq[~rho_ok]).all()
+
+    def test_morse_cells_equal_the_scalar_calls(self):
+        (inv_area, area_ok), (rho_sq, rho_ok), _ = concentration_curves(self.P_GRID, self.GAMMAS)
+        for i, p in enumerate(self.P_GRID):
+            for j, g in enumerate(self.GAMMAS):
+                params = MorseParams(p * p / g, g)
+                if area_ok[i, j]:
+                    # the grid/scalar tolerance of props' closed-form kernels
+                    want = 1.0 / heisenberg_area(params)
+                    assert inv_area[i, j] == pytest.approx(want, rel=1e-15, abs=0), (p, g)
+                if rho_ok[i, j]:
+                    got = rho_sq[i, j]
+                    assert abs(got - gaussianity_rho_sq(gmw_wavelet(params))) <= 1e-13, (p, g)
+                    assert got == pytest.approx(_morse_rho_sq(params.beta, g), abs=1e-14), (p, g)
+
+    def test_morlet_cells_equal_the_scalar_calls(self):
+        (inv_area, area_ok), (rho_sq, _), _ = concentration_curves(self.P_GRID, self.GAMMAS)
+        for i, p in enumerate(self.P_GRID):
+            if not area_ok[i, -1]:
+                continue
+            nu = morlet_nu_for_duration(p)
+            area, rho = _morlet_area_and_rho_sq(nu)
+            # elementwise kernels, so each cell is the scalar call's bits
+            assert (inv_area[i, -1], rho_sq[i, -1]) == (1.0 / area, rho), p
+            wav = morlet_wavelet(nu)
+            m0, m1, m2 = (quadrature_moment(wav.spectrum, n, "energy", full_line=True)
+                          for n in (0, 1, 2))
+            d = quadrature_moment(wav.spectrum, 0, "derivative_energy", full_line=True)
+            want = math.sqrt(d / m0) * math.sqrt(m2 / m0 - (m1 / m0) ** 2)
+            assert 1.0 / inv_area[i, -1] == pytest.approx(want, rel=1e-9), p
+            assert abs(rho_sq[i, -1] - gaussianity_rho_sq(wav)) <= 1e-10, p
 
 
 class TestClosedFormEnergies:

@@ -11,6 +11,7 @@ import pytest
 import scipy.fft
 from helpers import padded_reference_transform, reference_transform
 
+from morsekit import core
 from morsekit.core import MorseParams, duration, eval_spectrum, peak_frequency
 from morsekit.props import quadrature_integral
 from morsekit.transform import (
@@ -349,7 +350,7 @@ class TestBlockedTransform:
         grid = scale_grid(n, P93, density=4)
         # a grid of fewer scales than workers leaves a thread without a row
         short = dataclasses.replace(grid, scales=grid.scales[:2])
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        monkeypatch.setattr(core, "CPU_COUNT", workers)
         calls = []
         lock = threading.Lock()
 
@@ -390,7 +391,7 @@ class TestBlockedTransform:
         grid = scale_grid(n, P93, density=8)
         out = {}
         for workers in (1, 2):
-            monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+            monkeypatch.setattr(core, "CPU_COUNT", workers)
             out[workers] = [
                 transform(SignalBuffer(x), grid, boundary=b).coefficients.tobytes()
                 for b in ("periodic", "mirror")
@@ -475,7 +476,7 @@ class TestBlockedTransform:
     def test_memory_is_output_plus_one_row_per_worker(self, monkeypatch, boundary,
                                                       workers):
         n = 4096
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        monkeypatch.setattr(core, "CPU_COUNT", workers)
         x = _noise(n, seed=3)
         grid = scale_grid(n, P93, density=8)
         tracemalloc.start()
@@ -506,7 +507,7 @@ class TestRowWorkers:
     def test_error_in_one_row_reaches_the_caller(self, monkeypatch, boundary, workers):
         n = 4096
         grid = scale_grid(n, P93, density=8)
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", workers)
+        monkeypatch.setattr(core, "CPU_COUNT", workers)
         failure = _RowFailure("row 5")
         calls = []
         lock = threading.Lock()
@@ -533,7 +534,7 @@ class TestRowWorkers:
     def test_more_threads_than_cpus_take_each_row_once(self, monkeypatch, boundary, n):
         x = _noise(n, seed=6)
         grid = scale_grid(n, P93, density=8)
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 8)
+        monkeypatch.setattr(core, "CPU_COUNT", 8)
         calls = []
         # a row ends in one inverse FFT, or (mirror at power-of-two n) one DST-III
         ifft, dst = scipy.fft.ifft, scipy.fft.dst
@@ -554,7 +555,7 @@ class TestRowWorkers:
         n = 1237
         x = _noise(n, seed=5)
         grid = scale_grid(n, P93, density=4)
-        monkeypatch.setattr(TRANSFORM, "_FFT_WORKERS", 1)
+        monkeypatch.setattr(core, "CPU_COUNT", 1)
 
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was created")
