@@ -314,6 +314,8 @@ def _parse_pgrid(text: str) -> list[float]:
     start, step, stop = (float(v) for v in parts)
     if not all(map(math.isfinite, (start, step, stop))):
         raise ValueError(f"pgrid values must be finite (got {text!r})")
+    if start < 0:
+        raise ValueError(f"pgrid durations must be >= 0 (got {text!r})")
     if step <= 0 or stop < start:
         raise ValueError(f"bad pgrid {text!r}")
     n = int(round((stop - start) / step))

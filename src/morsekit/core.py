@@ -477,16 +477,25 @@ def gallery_tables(pairs):
     over 20 P / w_p, against t w_p / P, and the spectrum with its order-2
     and order-4 approximants on w / w_p in [0, 3].  ``columns`` maps each
     column's name to its array.  Its first step checks every pair's w_p
-    (`_checked_peak_frequency`), so an out-of-range pair raises before any
-    pair's columns are made."""
-    pairs = list(pairs)
-    for p in pairs:
-        _checked_peak_frequency(p)
+    (`_checked_peak_frequency`) and samples every pair's wavelet, so a
+    pair out of range, or one whose spectrum the window's Nyquist rate
+    cuts (every P above about 78, and some short pairs with heavy tails),
+    raises before any pair's columns are made."""
     n = 511  # odd: symmetric time grid, and the frequency grid hits 1 exactly
-    freq_scaled = np.linspace(0.0, 3.0, n)
+    windows = []
     for p in pairs:
-        wp, pd = peak_frequency(p), duration(p)
-        wf = sample_wavelet(p, 1.0, n, 20.0 * pd / wp / n)
+        wp, pd = _checked_peak_frequency(p), duration(p)
+        try:
+            windows.append((p, wp, pd, sample_wavelet(p, 1.0, n, 20.0 * pd / wp / n)))
+        except ValueError as exc:
+            # the cause, without sample_wavelet's advice on scale and dt,
+            # which gallery does not take
+            cause = str(exc).split(";")[0]
+            raise ValueError(f"beta={p.beta}, gamma={p.gamma} (duration {pd:.6g}) does not "
+                             f"fit the gallery window of {n} samples over 20 P / w_p: "
+                             f"{cause}") from exc
+    freq_scaled = np.linspace(0.0, 3.0, n)
+    for p, wp, pd, wf in windows:
         yield wp, pd, {
             "time_scaled": wf.times * wp / pd,
             "wavelet_real": wf.values.real,

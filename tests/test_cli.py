@@ -286,6 +286,26 @@ class TestGallery:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta, gamma, duration, cause", [
+        # long: the spectrum aliases at the window's Nyquist rate, or its
+        # peak lies above it
+        ("2100", "3", "79.3725", "aliasing: spectrum at Nyquist is 0.67 of peak (threshold 0.1)"),
+        ("1e4", "3", "173.205", "scaled peak frequency exceeds the Nyquist rate"),
+        # short, with a heavy tail that still aliases
+        ("0.01", "0.1", "0.0316228",
+         "aliasing: spectrum at Nyquist is 0.96 of peak (threshold 0.1)"),
+    ])
+    def test_pair_outside_the_window_rejected_before_any_file(self, tmp_path, capsys,
+                                                             beta, gamma, duration, cause):
+        out = tmp_path / "gal"
+        # a good pair, (3, gamma), comes first
+        assert run("gallery", "--beta", f"3,{beta}", "--gamma", gamma, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: beta={float(beta)}, gamma={float(gamma)} (duration {duration}) does not "
+            f"fit the gallery window of 511 samples over 20 P / w_p: {cause}\n"
+        )
+        assert not out.exists()
+
     def test_out_with_suffix_is_a_directory(self, tmp_path):
         out = tmp_path / "gal.v2"
         assert run("gallery", "--beta", "3", "--gamma", "3", "--out", str(out)) == 0
@@ -797,11 +817,14 @@ class TestInputParsing:
             ("2:0:3", "bad pgrid '2:0:3'"),
             ("2:-0.5:3", "bad pgrid '2:-0.5:3'"),
             ("3:0.5:2", "bad pgrid '3:0.5:2'"),
+            # beta = P^2/gamma would drop the sign and copy the rows of -P
+            ("-1:0.5:1", "pgrid durations must be >= 0 (got '-1:0.5:1')"),
+            ("-0.5:0.5:0", "pgrid durations must be >= 0 (got '-0.5:0.5:0')"),
         ],
     )
     def test_parse_pgrid(self, tmp_path, capsys, text, error):
         out = tmp_path / "curves.csv"
-        rc = run("curves", "--pgrid", text, "--gamma", "3", "--out", str(out))
+        rc = run("curves", f"--pgrid={text}", "--gamma", "3", "--out", str(out))
         if error is None:
             assert rc == 0
             _, rows = _read_csv(out)

@@ -542,3 +542,12 @@ class TestGalleryTables:
         tables = gallery_tables([MorseParams(3.0, 3.0), MorseParams(0.5, 0.001)])
         with pytest.raises(ValueError, match="overflows double range at beta=0.5, gamma=0.001"):
             next(tables)
+
+    @pytest.mark.parametrize("beta, gamma", [(2100.0, 3.0), (1e4, 3.0), (0.01, 0.1)])
+    def test_pair_outside_the_window_raises_before_the_first_table(self, beta, gamma):
+        # from P of about 78 the window's Nyquist rate cuts the spectrum,
+        # and below it a short pair's heavy tail can alias too
+        tables = gallery_tables([MorseParams(3.0, 3.0), MorseParams(beta, gamma)])
+        with pytest.raises(ValueError, match=rf"^beta={beta}, gamma={gamma} \(duration .* "
+                                             r"does not fit the gallery window"):
+            next(tables)
