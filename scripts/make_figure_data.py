@@ -14,12 +14,11 @@ Runs the five CLI exports at their default resolutions:
              for gamma = 1..6 and the Morlet wavelet
   limits     lognormal- and band-pass-limit sup deviations
 
-Takes about 0.36 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): map,
-gallery and curves about 0.07 s each, besselfit about 0.05 s, the limits
-well under 0.01 s, and start-up and import about 0.1 s.  None of the five
-commands needs scipy, and none imports it.  The map's area table and the
-Bessel-fit trace are formatted by forked worker processes, one per CPU;
-everything else runs in one thread.
+Takes about 0.4 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): map,
+gallery and curves about 0.08 s each, besselfit about 0.05 s, the limits
+well under 0.01 s, and start-up and import about 0.12 s.  None of the five
+commands needs scipy, and none imports it.  Every table is short enough to
+be formatted in-process, so everything runs in one thread.
 """
 
 import sys

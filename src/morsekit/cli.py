@@ -12,21 +12,24 @@ them through one table, ``_PARSERS``.
 Outputs are deterministic: floats are printed with shortest round-trip
 formatting (so infinities as "inf"), complex CSV cells as re+imj,
 undefined cells blank.  Each float array table written as CSV (the `map`
-area table, the `gallery` pair tables, the `besselfit` trace, the `limits`
-table and the `cwt` coefficients), and the `cwt` JSON coefficients, is
-written by ``_write_lines`` one block of at most ``_FORMAT_CELLS`` cells at
-a time, every float of a block through a single repr of a list; the other
-tables (`curves`, `props`, the `gallery` index and the three short `map`
-lists) one row at a time.  A CSV table, or the `cwt` JSON, is held as at
-most one formatted block, never the whole text; every other JSON table is
-built whole, as Python rows and then one ``json.dumps`` text.
+area table and constant-P lines, the `gallery` pair tables, the
+`besselfit` trace, the `limits` table and the `cwt` coefficients), and the
+`cwt` JSON coefficients, is written by ``_write_lines`` one block of at
+most ``_FORMAT_CELLS`` cells at a time, the floats of a block through a
+single repr of a list: of its distinct values, each once, for a real table
+(whose axis columns repeat), of every cell for `cwt`.  The other tables
+(`curves`, `props`, the `gallery` index and the two short `map` curves)
+are written one row at a time.  A CSV table, or the `cwt` JSON, is held as
+at most one formatted block, never the whole text; every other JSON table
+is built whole, as Python rows and then one ``json.dumps`` text.
 
-``_write_lines`` has a table of more than one block formatted by forked
-workers, one per CPU (`core.CPU_COUNT`): worker k of W formats blocks k,
-k + W, ... and sends them as length-prefixed records through its own pipe,
-and the parent copies them to the output in row order, at most 64 KB at a
-time, with the bytes of the in-process writer.  One block, one CPU, or no
-``os.fork`` writes in-process.
+``_write_lines`` has a table of more than ``_SERIAL_BLOCKS`` blocks (the
+`cwt` output of a long signal) formatted by forked workers, one per CPU
+(`core.CPU_COUNT`): worker k of W formats blocks k, k + W, ... and sends
+them as length-prefixed records through its own pipe, and the parent
+copies them to the output in row order, at most 64 KB at a time, with the
+bytes of the in-process writer.  A shorter table (every default table but
+`cwt`'s), one CPU, or no ``os.fork`` writes in-process.
 """
 
 from __future__ import annotations
@@ -52,8 +55,11 @@ from .superfamily import BesselFitGrid, bessel_fit, concentration_curves, limit_
 from .transform import SignalBuffer, scale_grid, transform
 
 # cells in one block of rows formatted at once (about 0.7 MB of `cwt`
-# text), and the most the parent reads from a worker's pipe at once
+# text), the most blocks a table formats in-process (forking the workers
+# and copying their text costs more than it saves up to about 130k cells
+# on 2 CPUs), and the most the parent reads from a worker's pipe at once
 _FORMAT_CELLS = 1 << 14
+_SERIAL_BLOCKS = 8
 _PIECE_BYTES = 1 << 16
 
 DEFAULT_P_LINES = (1.0 / 3.0, 1.0, 3.0, 9.0, 27.0)
@@ -117,20 +123,39 @@ def _open_output(path: Path | None):
 
 
 def _write_csv(f, comments, columns, rows):
-    """Comment lines, the column line, then the rows: a 2-D float ndarray
-    through ``_write_lines``, each block's floats through one repr of its
-    nested list, any other iterable one line per row as it comes.  Both
-    give the bytes of ``_fmt`` on every cell."""
+    """Comment lines, the column line, then the rows: a 2-D float64 ndarray
+    through ``_write_lines`` in blocks of ``_float_csv_block``, any other
+    iterable one line per row as it comes.  Both give the bytes of ``_fmt``
+    on every cell."""
     for line in comments:
         f.write(f"# {line}\n")
     f.write(",".join(columns) + "\n")
     if isinstance(rows, np.ndarray):
-        _write_lines(f, len(rows), rows.shape[1], lambda i0, i1: (
-            repr(rows[i0:i1].tolist())[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
-        ))
+        # the block writer keys each cell on its float64 bit pattern
+        assert rows.dtype == np.float64, rows.dtype
+        _write_lines(f, len(rows), rows.shape[1],
+                     lambda i0, i1: _float_csv_block(rows[i0:i1]))
         return
     for row in rows:
         f.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _float_csv_block(part) -> str:
+    """The CSV lines of the rows of a 2-D float64 array.
+
+    Each distinct value is printed once, by one repr of the list of them,
+    and its text is gathered back to every cell that holds it; the
+    separators are slotted in between.  Values are told apart by their bit
+    patterns, so -0.0 and 0.0 keep their own text and repeated nans are
+    found like any other value."""
+    keys, inverse = np.unique(part.view(np.int64), return_inverse=True)
+    words = np.array(repr(keys.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    seps = np.full(part.shape, ",", dtype=object)
+    seps[:, -1] = "\n"
+    text = [""] * (2 * part.size)
+    text[::2] = words[inverse.ravel()].tolist()
+    text[1::2] = seps.ravel().tolist()
+    return "".join(text)
 
 
 def _cwt_csv_block(times, coef) -> str:
@@ -159,13 +184,13 @@ def _cwt_csv_block(times, coef) -> str:
 def _write_lines(f, n_rows: int, row_cells: int, block):
     """Write ``block(i0, i1)``, the text of rows i0..i1-1, for blocks of
     at most ``_FORMAT_CELLS`` cells in row order: in-process when the rows
-    fit in one block, when ``core.CPU_COUNT`` is 1, or without
-    ``os.fork``; else formatted by forked workers, block b by worker
-    b mod W, and copied from their pipes in row order."""
+    fit in ``_SERIAL_BLOCKS`` blocks, when ``core.CPU_COUNT`` is 1, or
+    without ``os.fork``; else formatted by forked workers, block b by
+    worker b mod W, and copied from their pipes in row order."""
     per_block = max(1, _FORMAT_CELLS // row_cells)
     blocks = [(i, min(i + per_block, n_rows)) for i in range(0, n_rows, per_block)]
     workers = min(core.CPU_COUNT, len(blocks))
-    if workers < 2 or not hasattr(os, "fork"):
+    if len(blocks) <= _SERIAL_BLOCKS or workers < 2 or not hasattr(os, "fork"):
         for i0, i1 in blocks:
             f.write(block(i0, i1))
         return
@@ -202,11 +227,12 @@ def _fork() -> int:
     # The parent may have threads (numpy's BLAS pool), so Python 3.12+
     # warns that fork may deadlock the child.  `transform` starts no
     # pocketfft pool, and its own row threads are joined before it returns,
-    # so none runs when `cwt` forks; `map` and `besselfit` run no threads
-    # of their own.  The child only copies blocks of a float table with
-    # elementwise numpy calls (no BLAS), formats their floats, writes to its
-    # pipe and leaves through os._exit; it takes no lock a thread may hold,
-    # and the BLAS pool re-arms through its own pthread_atfork handler.
+    # so none runs when `cwt` forks; the other commands run no threads of
+    # their own.  The child only copies blocks of a float table with
+    # elementwise numpy calls and a sort (no BLAS), formats their floats,
+    # writes to its pipe and leaves through os._exit; it takes no lock a
+    # thread may hold, and the BLAS pool re-arms through its own
+    # pthread_atfork handler.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
@@ -318,7 +344,10 @@ def _parse_pgrid(text: str) -> list[float]:
         raise ValueError(f"pgrid durations must be >= 0 (got {text!r})")
     if step <= 0 or stop < start:
         raise ValueError(f"bad pgrid {text!r}")
-    n = int(round((stop - start) / step))
+    n = (stop - start) / step
+    if not math.isfinite(n):  # a step too small to count, such as 0:1e-308:1e308
+        raise ValueError(f"pgrid {text!r} holds too many durations to count")
+    n = int(round(n))
     return [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-12]
 
 
@@ -374,7 +403,8 @@ def cmd_map(args: argparse.Namespace) -> int:
     _write_table(args, "localization_border", ("gamma", "beta_border"), loc_rows)
 
     p_rows = [(p_val, p_val**2 / g, g) for p_val in args.p_lines for g in gammas]
-    _write_table(args, "constant_p_lines", ("duration", "beta", "gamma"), p_rows)
+    _write_table(args, "constant_p_lines", ("duration", "beta", "gamma"),
+                 np.array(p_rows, dtype=float))
     return 0
 
 

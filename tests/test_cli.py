@@ -203,8 +203,9 @@ class TestMap:
         assert [f.name for f in serial] == sorted(f.name for f in (tmp_path / "forked").iterdir())
         for f in serial:
             assert (tmp_path / "forked" / f.name).read_bytes() == f.read_bytes()
-        # only the area table is a float array; the other three go row by row
-        assert len(forks) == (0 if workers == 1 else workers)
+        # the area table (34 blocks) and the constant-P lines (12 blocks) are
+        # float arrays; the other two go row by row
+        assert len(forks) == (0 if workers == 1 else 2 * workers)
 
     def test_repeat_run_byte_identical(self, tmp_path):
         args = ["--beta", "1:10:5", "--gamma", "1:10:5"]
@@ -636,12 +637,15 @@ class TestCwtWorkers:
     ["gallery", "--beta", "3", "--gamma", "1,3", "--out", "{out}"],
     ["curves", "--out", "{out}/curves.csv"],
     ["map", "--beta", "1:10:5", "--gamma", "1:10:5", "--out", "{out}"],
+    # the default area table is 8 blocks, the default trace 2
+    ["map", "--out", "{out}"],
+    ["besselfit", "--out", "{out}/fit.csv"],
 ])
 def test_one_block_tables_never_fork(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(core, "CPU_COUNT", 3)
 
     def no_fork():
-        raise AssertionError("a table of one block forked")
+        raise AssertionError("a table of at most _SERIAL_BLOCKS blocks forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert run(*(a.format(out=tmp_path) for a in argv)) == 0
@@ -820,6 +824,8 @@ class TestInputParsing:
             # beta = P^2/gamma would drop the sign and copy the rows of -P
             ("-1:0.5:1", "pgrid durations must be >= 0 (got '-1:0.5:1')"),
             ("-0.5:0.5:0", "pgrid durations must be >= 0 (got '-0.5:0.5:0')"),
+            # (stop - start) / step overflows to inf
+            ("0:1e-308:1e308", "pgrid '0:1e-308:1e308' holds too many durations to count"),
         ],
     )
     def test_parse_pgrid(self, tmp_path, capsys, text, error):
@@ -968,8 +974,8 @@ class TestCwtCsvBlock:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_write_lines_in_blocks(self, monkeypatch, table, workers):
         times, coef = table
-        # three rows a block: 17 rows end in a block of 2
-        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 3 * (self.SCALES + 1))
+        # one row a block: 17 blocks, more than a table formats in-process
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", self.SCALES + 1)
         monkeypatch.setattr(core, "CPU_COUNT", workers)
         forks = []
         fork = os.fork
@@ -997,6 +1003,76 @@ class TestRealCsvBlocks:
             CLI._write_csv(f, ["note"], ["a"], block)
             expected = "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist())
             assert f.getvalue() == "# note\na\n" + expected
+
+
+class TestFloatCsvBlock:
+    """Each distinct float of a block is formatted once, found by its bit
+    pattern, and every cell keeps the bytes of `_fmt`."""
+
+    @staticmethod
+    def table():
+        # signed zeros, nans of both signs and several payloads, infinities
+        # and repeated finite values: table[i, j] = VALUES[(i + j) % n], so
+        # every row and every column holds each of them
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                         0xFFFC0000000000AB], dtype=np.uint64).view(np.float64)
+        values = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 0.1, -2.5, 5e-324, 1e16],
+                                 nans])
+        n = len(values)
+        table = values[(np.arange(n)[:, None] + np.arange(n)) % n]
+        assert len(set(table[0].view(np.int64).tolist())) == n
+        return table
+
+    @pytest.mark.parametrize("cells", [1, 12, 30, 1 << 14])
+    def test_bytes_equal_per_cell_rows(self, monkeypatch, cells):
+        table = self.table()
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", cells)
+        # the whole table, and strided views of it, as the column slices
+        # of `TestRealCsvBlocks`
+        for block in (table, table.T, table[::-1, ::2], table[1::3, 5:]):
+            f = io.StringIO()
+            CLI._write_csv(f, [], ["a"], block)
+            expected = "".join(",".join(map(_fmt, row)) + "\n" for row in block.tolist())
+            assert f.getvalue() == "a\n" + expected
+        f = io.StringIO()
+        CLI._write_csv(f, [], ["a"], table[:1])
+        assert f.getvalue() == "a\n0.0,-0.0,inf,-inf,0.1,-2.5,5e-324,1e+16,nan,nan,nan,nan\n"
+
+    def test_only_float64_tables(self):
+        with pytest.raises(AssertionError):
+            CLI._write_csv(io.StringIO(), [], ["a"], np.array([[1, 2]]))
+
+
+class TestForkRule:
+    """`_write_lines` formats a table of at most `_SERIAL_BLOCKS` blocks
+    in-process, and forks one worker per CPU for a longer one."""
+
+    @staticmethod
+    def write(monkeypatch, n_blocks, workers, fork):
+        # eight rows a block: 8 (n - 1) + 1 rows are n blocks, the last of one row
+        table = _mixed((8 * (n_blocks - 1) + 1, 3), 5)
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 8 * 3)
+        monkeypatch.setattr(core, "CPU_COUNT", workers)
+        monkeypatch.setattr(os, "fork", fork)
+        f = io.StringIO()
+        CLI._write_csv(f, [], ["a", "b", "c"], table)
+        expected = "".join(",".join(map(_fmt, row)) + "\n" for row in table.tolist())
+        assert f.getvalue() == "a,b,c\n" + expected
+
+    @pytest.mark.parametrize("n_blocks", [2, CLI._SERIAL_BLOCKS])
+    def test_tables_at_the_threshold_never_fork(self, monkeypatch, n_blocks):
+        def no_fork():
+            raise AssertionError(f"a table of {n_blocks} blocks forked")
+
+        self.write(monkeypatch, n_blocks, 3, no_fork)
+
+    @pytest.mark.parametrize("n_blocks", [CLI._SERIAL_BLOCKS + 1, 20])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_longer_tables_fork_one_worker_per_cpu(self, monkeypatch, n_blocks, workers):
+        forks = []
+        fork = os.fork
+        self.write(monkeypatch, n_blocks, workers, lambda: forks.append(1) or fork())
+        assert len(forks) == workers
 
 
 class TestLibraryBoundary:
