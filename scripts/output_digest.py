@@ -108,6 +108,8 @@ def _errors():
         ("map-error-range", ["map", "--beta", "1:0.5:3", "--out", "map"]),
         ("map-error-beta", ["map", "--beta=-1,2", "--out", "map"]),
         ("map-error-p-lines", ["map", "--p-lines", "-1", "--out", "map"]),
+        ("map-error-p-lines-overflow", ["map", "--beta", "1:2:2", "--gamma", "1:2:2",
+                                        "--p-lines", "1e200", "--out", "map"]),
         ("gallery-error-no-out", ["gallery"]),
         ("gallery-error-peak", ["gallery", "--beta", "0.5", "--gamma", "0.001", "--out",
                                 "gallery"]),

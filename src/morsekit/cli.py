@@ -28,8 +28,9 @@ is built whole, as Python rows and then one ``json.dumps`` text.
 (`core.CPU_COUNT`): worker k of W formats blocks k, k + W, ... and sends
 them as length-prefixed records through its own pipe, and the parent
 copies them to the output in row order, at most 64 KB at a time, with the
-bytes of the in-process writer.  A shorter table (every default table but
-`cwt`'s), one CPU, or no ``os.fork`` writes in-process.
+bytes of the in-process writer.  A block's error crosses as its message's
+text, which the parent raises as a RuntimeError.  A shorter table (every
+default table but `cwt`'s), one CPU, or no ``os.fork`` writes in-process.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import contextlib
 import json
 import math
 import os
-import pickle
 import struct
 import sys
 import warnings
@@ -201,16 +201,20 @@ def _write_lines(f, n_rows: int, row_cells: int, block):
             reads.append(open(r, "rb"))
             try:
                 pid = _fork()
-                if pid == 0:
-                    _format_blocks(w, reads, blocks[k::workers], block)
+                if pid == 0:  # by os._exit: no atexit handler, no parent buffer flushed
+                    code = 1
+                    try:
+                        code = _format_blocks(w, reads, blocks[k::workers], block)
+                    finally:
+                        os._exit(code)
                 pids.append(pid)
             finally:
                 os.close(w)
         for b in range(len(blocks)):
             r = reads[b % workers]
             (size,) = struct.unpack("<q", _read_exact(r, 8))
-            if size < 0:  # the block's own error, pickled by its worker
-                raise pickle.loads(_read_exact(r, -size))
+            if size < 0:  # the block's own error, as its worker's text
+                raise RuntimeError(_read_exact(r, -size).decode())
             while size:
                 piece = _read_exact(r, min(size, _PIECE_BYTES))
                 f.write(piece.decode("ascii"))
@@ -240,33 +244,26 @@ def _fork() -> int:
         return os.fork()
 
 
-def _format_blocks(w: int, reads, blocks, block):
-    """A worker's whole life: each block's text, or the first error, as a
-    record on pipe ``w``: its length as 8 little-endian bytes (an error's
-    negative), then the bytes.  The pipe's buffered file is flushed and
-    closed before the worker leaves, only through os._exit, so it never
-    runs the parent's atexit handlers or flushes the parent's buffered
-    output."""
-    code = 1
-    try:
-        for r in reads:
-            r.close()
-        with open(w, "wb") as out:
-            try:
-                for i0, i1 in blocks:
-                    text = block(i0, i1).encode("ascii")
-                    out.write(struct.pack("<q", len(text)))
-                    out.write(text)
-                code = 0
-            except Exception as exc:
-                payload = pickle.dumps(exc)
-                # an exception the parent could not rebuild ends the worker
-                # without a record, which the parent reports as an early exit
-                pickle.loads(payload)
-                out.write(struct.pack("<q", -len(payload)))
-                out.write(payload)
-    finally:
-        os._exit(code)
+def _format_blocks(w: int, reads, blocks, block) -> int:
+    """A worker's formatting loop: each block's text, or the first error's
+    message (its type's name if empty), UTF-8, as a record on pipe ``w``:
+    its length as 8 little-endian bytes (an error's negative), then the
+    bytes.  Closes the pipe and returns the worker's exit status, 0 after
+    every block, 1 after an error."""
+    for r in reads:
+        r.close()
+    with open(w, "wb") as out:
+        try:
+            for i0, i1 in blocks:
+                text = block(i0, i1).encode("ascii")
+                out.write(struct.pack("<q", len(text)))
+                out.write(text)
+        except Exception as exc:
+            message = (str(exc) or type(exc).__name__).encode()
+            out.write(struct.pack("<q", -len(message)))
+            out.write(message)
+            return 1
+    return 0
 
 
 def _read_exact(r, size: int) -> bytes:
@@ -384,6 +381,24 @@ _PARSERS = {
 # ---------------------------------------------------------------------------
 
 
+def _constant_p_table(p_lines, gammas) -> np.ndarray:
+    """The rows (P, beta = P^2/gamma, gamma) of each constant-P line, as a
+    float array; a ValueError names the first P and gamma whose beta is
+    beyond double range."""
+    rows = []
+    for p_val in p_lines:
+        for g in gammas:
+            try:
+                beta = p_val**2 / g
+            except OverflowError:  # P^2 alone leaves double range; P (P/gamma) may not
+                beta = p_val * (p_val / g)  # inf, not an error, when it does too
+            if not math.isfinite(beta):
+                raise ValueError(f"p-lines: beta = P^2/gamma is beyond double range "
+                                 f"at P={_fmt(p_val)}, gamma={_fmt(g)}")
+            rows.append((p_val, beta, g))
+    return np.array(rows, dtype=float)
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     betas = args.beta
     gammas = args.gamma
@@ -391,6 +406,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     # first bad cell in beta-major order, in its own words
     for b, g in [(betas[0], g) for g in gammas] + [(b, gammas[0]) for b in betas]:
         MorseParams(b, g)
+    p_table = _constant_p_table(args.p_lines, gammas)  # checked before the first file
 
     _write_table(args, "heisenberg_map", ("beta", "gamma", "heisenberg_area"),
                  heisenberg_map(betas, gammas))
@@ -402,9 +418,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     loc_rows = [(g, (g - 1.0) / 2.0) for g in gammas if g >= 1.0]
     _write_table(args, "localization_border", ("gamma", "beta_border"), loc_rows)
 
-    p_rows = [(p_val, p_val**2 / g, g) for p_val in args.p_lines for g in gammas]
-    _write_table(args, "constant_p_lines", ("duration", "beta", "gamma"),
-                 np.array(p_rows, dtype=float))
+    _write_table(args, "constant_p_lines", ("duration", "beta", "gamma"), p_table)
     return 0
 
 

@@ -82,7 +82,7 @@ class MorletParams:
     def __post_init__(self):
         if not np.isfinite(self.nu) or self.nu <= 0:
             raise ValueError(f"nu must be finite and > 0 (got {self.nu})")
-        # a plain float keeps the params hashable, the key of morlet_amplitude
+        # a plain float keeps the params hashable, the key of _morlet_amplitude
         object.__setattr__(self, "nu", float(self.nu))
 
 
@@ -183,7 +183,7 @@ def morlet_peak_and_duration(m: MorletParams) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=64)
-def morlet_amplitude(m: MorletParams) -> float:
+def _morlet_amplitude(m: MorletParams) -> float:
     """Normalizing constant putting the spectral maximum at 2, solved once
     per ``MorletParams``."""
     wp, _ = morlet_peak_and_duration(m)
@@ -196,7 +196,7 @@ def morlet_spectrum(m: MorletParams, omega):
     The zero-mean correction makes the value negative on part of the
     negative-frequency axis: the wavelet is only approximately analytic.
     """
-    out = morlet_amplitude(m) * _morlet_unnormalized(omega, m.nu)
+    out = _morlet_amplitude(m) * _morlet_unnormalized(omega, m.nu)
     return float(out) if np.ndim(omega) == 0 else out
 
 
@@ -367,7 +367,7 @@ def gmw_wavelet(p: MorseParams) -> NamedWavelet:
 def morlet_wavelet(m: MorletParams | float) -> NamedWavelet:
     if not isinstance(m, MorletParams):
         m = MorletParams(float(m))
-    morlet_amplitude(m)  # solves and caches the peak, so nu < 0.1 raises here
+    _morlet_amplitude(m)  # solves and caches the peak, so nu < 0.1 raises here
     return NamedWavelet(
         kind="morlet",
         params=m,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 import tracemalloc
 import warnings
@@ -157,6 +158,27 @@ class TestMap:
             f"error: p-lines must be finite and >= 0 (got {shown})\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("gamma, p_lines, shown", [
+        ("1:2:2", "1e200", "P=1e+200, gamma=1.0"),  # P^2 overflows and raises
+        ("0.5:2:2", "1e154", "P=1e+154, gamma=0.5"),  # P^2 is finite, P^2/gamma inf
+    ])
+    def test_p_lines_beyond_double_range_rejected_before_writing(self, tmp_path, capsys,
+                                                                 gamma, p_lines, shown):
+        out = tmp_path / "map"
+        assert run("map", "--out", str(out), "--beta", "1:2:2", "--gamma", gamma,
+                   "--p-lines", p_lines) == 2
+        assert capsys.readouterr().err == (
+            f"error: p-lines: beta = P^2/gamma is beyond double range at {shown}\n"
+        )
+        assert not out.exists()
+
+    def test_p_lines_finite_beta_written_when_p_squared_overflows(self, tmp_path):
+        out = tmp_path / "map"
+        assert run("map", "--out", str(out), "--beta", "1:2:2", "--gamma", "100:400:2",
+                   "--p-lines", "1e155") == 0
+        _, plines = _read_csv(out / "constant_p_lines.csv")
+        assert plines == [["1e+155", "1e+308", "100.0"], ["1e+155", "2.5e+307", "400.0"]]
 
     @pytest.mark.parametrize(
         "beta, gamma, error",
@@ -567,8 +589,17 @@ class TestCwt:
         assert "error:" in capsys.readouterr().err
 
 
+def _unpicklable(*args):
+    """An error that no pickle can carry: its class is local to this call."""
+    class Unpicklable(Exception):
+        pass
+
+    return Unpicklable(*args)
+
+
 class TestCwtWorkers:
-    """`cwt` tables of several blocks are formatted by forked workers."""
+    """`cwt` tables of several blocks are formatted by forked workers; their
+    loop, `_format_blocks`, also runs here in-process on a pipe."""
 
     @staticmethod
     def _cwt(capsys, path, fmt, out=None):
@@ -631,6 +662,84 @@ class TestCwtWorkers:
         assert int(err.split()[-1]) != os.getpid()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error, shown", [
+        (_unpicklable("cannot format t=500.0 \u00b5s"), "cannot format t=500.0 \u00b5s"),
+        (_unpicklable(), "Unpicklable"),  # an empty message shows the type's name
+        (KeyError("t"), "'t'"),
+    ], ids=["utf8-message", "empty-message", "key-error"])
+    def test_worker_error_of_any_type_reaches_the_user(self, tmp_path, capsys, monkeypatch,
+                                                       cosine_file, error, shown):
+        path, _ = cosine_file
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 1000)
+        monkeypatch.setattr(core, "CPU_COUNT", 2)
+        csv_block = CLI._cwt_csv_block
+
+        def block(times, coef):
+            if 500.0 in times:
+                raise error
+            return csv_block(times, coef)
+
+        monkeypatch.setattr(CLI, "_cwt_csv_block", block)
+        assert run("cwt", "--signal", str(path), "--out", str(tmp_path / "cwt.csv")) == 2
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_exits_early_fails_the_run_and_leaves_no_child(
+            self, tmp_path, capsys, monkeypatch, cosine_file):
+        path, _ = cosine_file
+        monkeypatch.setattr(CLI, "_FORMAT_CELLS", 1000)
+        monkeypatch.setattr(core, "CPU_COUNT", 2)
+        # each worker exits at once, with no record
+        monkeypatch.setattr(CLI, "_format_blocks", lambda w, reads, blocks, block: 1)
+        assert run("cwt", "--signal", str(path), "--out", str(tmp_path / "cwt.csv")) == 2
+        assert capsys.readouterr().err == "error: a formatting worker exited before its block\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _loop(blocks, block):
+        """Run a worker's loop in this process on a new pipe: its exit
+        status, its records as (length, bytes), and the read ends it was
+        given, which it closes."""
+        r, w = os.pipe()
+        other = os.pipe()
+        os.close(other[1])
+        reads = [open(other[0], "rb")]
+        code = CLI._format_blocks(w, reads, blocks, block)
+        with open(r, "rb") as f:  # reads to the end: the loop closed w
+            data = f.read()
+        records = []
+        while data:
+            (size,) = struct.unpack("<q", data[:8])
+            records.append((size, data[8:8 + abs(size)]))
+            data = data[8 + abs(size):]
+        return code, records, reads
+
+    def test_worker_loop_sends_each_block_as_a_record(self):
+        code, records, reads = self._loop([(0, 2), (5, 6), (9, 9)],
+                                          lambda i0, i1: "1.0\n" * (i1 - i0))
+        assert code == 0
+        assert records == [(8, b"1.0\n1.0\n"), (4, b"1.0\n"), (0, b"")]
+        assert all(r.closed for r in reads)
+
+    @pytest.mark.parametrize("error, text", [
+        (ValueError("bad block"), "bad block"),
+        (_unpicklable("cannot format \u00b5"), "cannot format \u00b5"),
+        (_unpicklable(), "Unpicklable"),
+    ], ids=["value-error", "utf8-message", "empty-message"])
+    def test_worker_loop_sends_the_first_error_as_text(self, error, text):
+        def block(i0, i1):
+            if i0 == 4:
+                raise error
+            return f"{i0}\n"
+
+        code, records, reads = self._loop([(0, 4), (4, 8), (8, 12)], block)
+        message = text.encode()
+        assert code == 1
+        assert records == [(2, b"0\n"), (-len(message), message)]
+        assert all(r.closed for r in reads)
 
 
 @pytest.mark.parametrize("argv", [

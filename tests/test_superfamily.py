@@ -106,7 +106,7 @@ class TestMorlet:
         calls = []
         monkeypatch.setattr(superfamily, "_morlet_peak_and_duration",
                             lambda v: calls.append(v) or solve(v))
-        superfamily.morlet_amplitude.cache_clear()
+        superfamily._morlet_amplitude.cache_clear()
         m = MorletParams(nu)
         for v in w:
             assert morlet_spectrum(m, v) == float(a * shape(v, nu))
