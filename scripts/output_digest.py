@@ -78,9 +78,14 @@ def _small():
                                  "--out", "besselfit.csv"]),
         ("limits-small", ["limits", "--pvalue", "5", "--gamma", "3,10,100", "--target",
                           "shannon"]),
+        # P*P underflows to 0, beta = P (P/gamma) does not
+        ("limits-tiny-duration", ["limits", "--pvalue", "1e-170", "--gamma", "1e-170"]),
         ("cwt-small", ["cwt", "--signal", "real1024.txt", "--wavelet-beta", "20",
                        "--wavelet-gamma", "1", "--density", "2", "--eta", "0.3", "--p0", "8"]),
         ("cwt-dt", ["cwt", "--signal", "dt1024.txt", "--out", "cwt.csv"]),
+        # s*dt overflows at the largest scales, which no output holds
+        ("cwt-large-dt", ["cwt", "--signal", "bigdt256.txt", "--wavelet-beta", "60",
+                          "--wavelet-gamma", "0.3", "--format", "json", "--out", "cwt.json"]),
         ("cwt-mirror-json", ["cwt", "--signal", "complex1024.txt", "--boundary", "mirror",
                              "--norm", "nhalf", "--format", "json", "--out", "cwt.json"]),
         ("cwt-zero-json", ["cwt", "--signal", "real1237.txt", "--boundary", "zero",
@@ -110,6 +115,8 @@ def _errors():
         ("map-error-p-lines", ["map", "--p-lines", "-1", "--out", "map"]),
         ("map-error-p-lines-overflow", ["map", "--beta", "1:2:2", "--gamma", "1:2:2",
                                         "--p-lines", "1e200", "--out", "map"]),
+        ("map-error-p-lines-underflow", ["map", "--beta", "1:2:2", "--gamma", "1:2:2",
+                                         "--p-lines", "1e-200", "--out", "map"]),
         ("gallery-error-no-out", ["gallery"]),
         ("gallery-error-peak", ["gallery", "--beta", "0.5", "--gamma", "0.001", "--out",
                                 "gallery"]),
@@ -117,6 +124,7 @@ def _errors():
         ("curves-error-pgrid", ["curves", "--pgrid", "1:0:2"]),
         ("curves-error-gamma", ["curves", "--gamma", "0"]),
         ("curves-error-no-convergence", ["curves", "--pgrid", "5e6:1:5e6", "--gamma", "3"]),
+        ("curves-error-beta-range", ["curves", "--pgrid", "0:1e160:1e160", "--gamma", "3"]),
         ("props-error-pair", ["props", "1"]),
         ("props-error-beta", ["props", "--", "-1,3"]),
         ("props-error-gamma", ["props", "9,0"]),
@@ -135,6 +143,11 @@ def _errors():
                                             "10:20:2"]),
         ("limits-error-pvalue", ["limits", "--pvalue", "0"]),
         ("limits-error-gamma", ["limits", "--gamma", "0"]),
+        ("limits-error-beta-overflow", ["limits", "--pvalue", "1e200"]),
+        ("limits-error-beta-half-overflow", ["limits", "--pvalue", "1e155", "--gamma", "0.5"]),
+        ("limits-error-beta-inf", ["limits", "--pvalue", "1e154", "--gamma", "1e-10"]),
+        ("limits-error-beta-underflow", ["limits", "--pvalue", "1e-200", "--gamma", "1"]),
+        ("limits-error-lognormal-overflow", ["limits", "--pvalue", "1e200", "--gamma", "1e100"]),
         ("limits-error-target", ["limits", "--target", "gabor"]),
     ]
 
@@ -156,6 +169,7 @@ def _signals() -> dict[str, str]:
         )
     files["dt1024.txt"] = "# dt=0.25\n" + files["real1024.txt"]
     files["hugedt.txt"] = "# dt=1e306\n" + files["real1024.txt"]
+    files["bigdt256.txt"] = "# dt=1e300\n" + "".join(files["real1024.txt"].splitlines(True)[:256])
     files["bad.txt"] = "1.0\n2.0\nthree\n"
     files["one.txt"] = "1.0\n"
     files["short.txt"] = "".join(f"{v!r}\n" for v in np.cos(np.arange(8.0)).tolist())

@@ -1,8 +1,9 @@
 """Command-line interface: parses and checks the options, takes each table
 from one library call, and writes it as CSV or JSON.  The numbers come from
-`props` (`heisenberg_map`, `zero_skewness_gamma`, `property_summary`),
-`core.gallery_tables`, `superfamily` (`concentration_curves`, `bessel_fit`,
-`limit_diagnostics`) and `transform`; an undefined cell is written blank.
+`props` (`heisenberg_map`, `zero_skewness_gamma`, `property_summary`), `core`
+(`gallery_tables`; `beta_for_duration` for the `map` constant-P lines),
+`superfamily` (`concentration_curves`, `bessel_fit`, `limit_diagnostics`) and
+`transform`; an undefined cell is written blank.
 
 Each subcommand's parser names its handler (``set_defaults(run=...)``),
 which ``main`` calls with the parsed arguments as its whole config: the
@@ -381,24 +382,6 @@ _PARSERS = {
 # ---------------------------------------------------------------------------
 
 
-def _constant_p_table(p_lines, gammas) -> np.ndarray:
-    """The rows (P, beta = P^2/gamma, gamma) of each constant-P line, as a
-    float array; a ValueError names the first P and gamma whose beta is
-    beyond double range."""
-    rows = []
-    for p_val in p_lines:
-        for g in gammas:
-            try:
-                beta = p_val**2 / g
-            except OverflowError:  # P^2 alone leaves double range; P (P/gamma) may not
-                beta = p_val * (p_val / g)  # inf, not an error, when it does too
-            if not math.isfinite(beta):
-                raise ValueError(f"p-lines: beta = P^2/gamma is beyond double range "
-                                 f"at P={_fmt(p_val)}, gamma={_fmt(g)}")
-            rows.append((p_val, beta, g))
-    return np.array(rows, dtype=float)
-
-
 def cmd_map(args: argparse.Namespace) -> int:
     betas = args.beta
     gammas = args.gamma
@@ -406,7 +389,12 @@ def cmd_map(args: argparse.Namespace) -> int:
     # first bad cell in beta-major order, in its own words
     for b, g in [(betas[0], g) for g in gammas] + [(b, gammas[0]) for b in betas]:
         MorseParams(b, g)
-    p_table = _constant_p_table(args.p_lines, gammas)  # checked before the first file
+    p_col = np.array(args.p_lines)[:, None]
+    try:  # the constant-P lines' betas, before the first file
+        p_betas = core.beta_for_duration(p_col, gammas)
+    except ValueError as exc:
+        raise ValueError(f"p-lines: {exc}") from None
+    p_table = np.stack(np.broadcast_arrays(p_col, p_betas, gammas), axis=-1).reshape(-1, 3)
 
     _write_table(args, "heisenberg_map", ("beta", "gamma", "heisenberg_area"),
                  heisenberg_map(betas, gammas))
@@ -515,12 +503,10 @@ def cmd_cwt(args: argparse.Namespace) -> int:
     sig = _read_signal_file(args.signal)
     p = MorseParams(args.wavelet_beta, args.wavelet_gamma)
     grid = scale_grid(len(sig.samples), p, density=args.density, eta=args.eta, p0=args.p0)
-    # the t column holds k*dt and the header w_p/(s*dt): all must be finite
+    # the times k*dt and the JSON header's w_p/(s*dt) must be finite; no output holds s*dt
     with np.errstate(over="ignore", divide="ignore"):
-        finite = (math.isfinite((len(sig.samples) - 1) * sig.dt)
-                  and np.isfinite(grid.scales * sig.dt).all()
-                  and np.isfinite(grid.peak_frequencies(sig.dt)).all())
-    if not finite:
+        peak_freqs = grid.peak_frequencies(sig.dt)
+    if not (math.isfinite((len(sig.samples) - 1) * sig.dt) and np.isfinite(peak_freqs).all()):
         raise ValueError(
             f"dt={_fmt(sig.dt)} puts the sample times or the scales' peak "
             "frequencies outside double range"
@@ -537,7 +523,7 @@ def cmd_cwt(args: argparse.Namespace) -> int:
             command="cwt", config=_describe(args), dt=sig.dt,
             normalization=res.normalization, boundary=res.boundary,
             scales=grid.scales.tolist(),
-            peak_frequencies=grid.peak_frequencies(sig.dt).tolist(),
+            peak_frequencies=peak_freqs.tolist(),
         ), allow_nan=False)
         if not np.isfinite(coef).all():
             raise ValueError("coefficients hold inf or nan, which JSON cannot represent")
@@ -684,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_options(args: argparse.Namespace) -> None:
     """Parse the text options on ``args`` in place, in the order they were
-    declared, then run each command's own checks."""
+    declared, then check that `map` and `gallery` have ``--out``."""
     for name, text in vars(args).items():
         if name not in _PARSERS:
             continue
@@ -694,9 +680,6 @@ def _parse_options(args: argparse.Namespace) -> None:
         setattr(args, name, _PARSERS[name](text))
     if args.command in MULTI_TABLE_COMMANDS and args.out is None:
         raise ValueError(f"{args.command} writes several files: --out DIR is required")
-    if args.command in ("curves", "limits"):
-        for g in args.gamma:
-            MorseParams(0.0, g)  # rejects a bad gamma in MorseParams' own words
 
 
 def main(argv=None) -> int:

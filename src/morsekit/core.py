@@ -32,6 +32,7 @@ __all__ = [
     "peak_frequency",
     "half_power_frequency",
     "duration",
+    "beta_for_duration",
     "amplitude_constant",
     "log_amplitude_constant",
     "eval_spectrum",
@@ -175,6 +176,24 @@ def duration(p: MorseParams) -> float:
     a bandwidth measure; P is constant along beta*gamma = const diagonals.
     """
     return float(np.sqrt(p.beta * p.gamma))
+
+
+def beta_for_duration(p_dur, gamma) -> np.ndarray:
+    """beta = P^2/gamma for P and gamma broadcast together, as P (P/gamma) where
+    P*P is not a normal double.  A ValueError names the first gamma not finite
+    and > 0 (in MorseParams' words), else the first P not finite and >= 0, else
+    the first (P, gamma) in C order whose beta is inf, or 0 while P > 0."""
+    p, g = np.broadcast_arrays(np.asarray(p_dur, dtype=float), np.asarray(gamma, dtype=float))
+    with np.errstate(all="ignore"):  # the checks below reject what warns here
+        pp = p * p
+        beta = np.where((pp >= np.finfo(float).tiny) & (pp < math.inf), pp / g, p * (p / g))
+    for bad, text in ((~((g > 0) & (g < math.inf)), "gamma must be finite and > 0 (got {g})"),
+                      (~((p >= 0) & (p < math.inf)), "duration must be finite and >= 0 (got {p})"),
+                      (np.isinf(beta) | ((beta == 0) & (p > 0)),
+                       "beta = P^2/gamma is beyond double range at P={p!r}, gamma={g!r}")):
+        if bad.any():  # masks take the cells in C order
+            raise ValueError(text.format(p=float(p[bad][0]), g=float(g[bad][0])))
+    return beta
 
 
 def log_amplitude_constant(p: MorseParams) -> float:

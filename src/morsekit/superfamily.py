@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (MorseParams, _analytic, _bisect, _rescaled_log_shape, duration,
-                   eval_rescaled_spectrum)
+from .core import (MorseParams, _analytic, _bisect, _rescaled_log_shape, beta_for_duration,
+                   duration, eval_rescaled_spectrum)
 from .props import (_halving_trapezoid, _heisenberg_area, _log_rescaled_energy,
                     quadrature_integral)
 
@@ -291,7 +291,11 @@ def lognormal_spectrum(p_duration: float, omega):
     w <= 0; symmetric in w <-> 1/w with peak value 2 at unit frequency."""
     if not 0 < p_duration < math.inf:
         raise ValueError(f"duration must be finite and > 0 (got {p_duration})")
-    return _analytic(omega, lambda w: 2.0 * np.exp(-0.5 * p_duration**2 * np.log(w) ** 2))
+    try:
+        p_sq = float(p_duration) ** 2
+    except OverflowError:
+        raise ValueError(f"P^2 is beyond double range at P={float(p_duration)!r}") from None
+    return _analytic(omega, lambda w: 2.0 * np.exp(-0.5 * p_sq * np.log(w) ** 2))
 
 
 def shannon_spectrum(omega):
@@ -591,7 +595,7 @@ def concentration_curves(p_grid, gammas):
     """
     # each column kind in one call on the whole (P, gamma) grid
     g_row = np.asarray(gammas, dtype=float)
-    b_grid = np.square(p_grid)[:, None] / g_row
+    b_grid = beta_for_duration(np.asarray(p_grid, dtype=float)[:, None], g_row)
     inv_area = 1.0 / _heisenberg_area(b_grid, g_row)
     # placeholders keep undefined cells out of the kernels: beta = 1 for
     # beta = 0 (P = 0), and P = 3 for a P that no Morlet reaches
@@ -708,6 +712,7 @@ def limit_diagnostics(
         raise ValueError(f"duration must be finite and > 0 (got {p_duration})")
     if target not in ("lognormal", "shannon"):
         raise ValueError(f"unknown target {target!r}")
+    betas = beta_for_duration(p_duration, gammas).tolist()
 
     w = _LIMIT_GRID
     if target == "lognormal":
@@ -718,8 +723,7 @@ def limit_diagnostics(
         mask = np.abs(w - 1.0) >= 0.05
 
     rows = []
-    for g in gammas:
-        beta = p_duration**2 / g
+    for g, beta in zip(gammas, betas):
         phi = eval_rescaled_spectrum(MorseParams(beta, g), w)
         dev = float(np.max(np.abs(phi - ref)[mask]))
         rows.append(LimitDeviation(gamma=float(g), beta=float(beta), sup_deviation=dev))

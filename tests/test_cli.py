@@ -162,6 +162,7 @@ class TestMap:
     @pytest.mark.parametrize("gamma, p_lines, shown", [
         ("1:2:2", "1e200", "P=1e+200, gamma=1.0"),  # P^2 overflows and raises
         ("0.5:2:2", "1e154", "P=1e+154, gamma=0.5"),  # P^2 is finite, P^2/gamma inf
+        ("1:2:2", "1,1e-200", "P=1e-200, gamma=1.0"),  # beta underflows to 0 while P > 0
     ])
     def test_p_lines_beyond_double_range_rejected_before_writing(self, tmp_path, capsys,
                                                                  gamma, p_lines, shown):
@@ -426,6 +427,34 @@ class TestGammaGuard:
         assert capsys.readouterr().err == f"error: gamma must be finite and > 0 (got {shown})\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning may reach stderr
+    @pytest.mark.parametrize("argv, named", [
+        (["limits", "--pvalue", "1e200"], "P=1e+200, gamma=1.0"),
+        (["limits", "--pvalue", "1e155", "--gamma", "0.5"], "P=1e+155, gamma=0.5"),
+        (["limits", "--pvalue", "1e154", "--gamma", "1e-10"], "P=1e+154, gamma=1e-10"),
+        (["limits", "--pvalue", "1e-200", "--gamma", "1"], "P=1e-200, gamma=1.0"),
+        (["curves", "--pgrid", "0:1e160:1e160", "--gamma", "3"], "P=1e+160, gamma=3.0"),
+    ])
+    def test_beta_beyond_double_range_rejected_before_writing(self, tmp_path, capsys, argv,
+                                                              named):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: beta = P^2/gamma is beyond double range at {named}\n"
+        )
+        assert not out.exists()
+
+    def test_limits_lognormal_p_squared_beyond_double_range(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run("limits", "--pvalue", "1e200", "--gamma", "1e100", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: P^2 is beyond double range at P=1e+200\n"
+        assert not out.exists()
+
+    def test_limits_beta_normal_where_p_squared_underflows(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert run("limits", "--pvalue", "1e-170", "--gamma", "1e-170", "--out", str(out)) == 0
+        assert _read_csv(out)[1] == [["1e-170", "1e-170", "0.0"]]
+
 
 class TestCwt:
     def test_ridge_at_predicted_scale(self, tmp_path, cosine_file):
@@ -534,6 +563,30 @@ class TestCwt:
         assert run("cwt", "--signal", str(path), "--format", fmt, "--out", str(out)) == 2
         assert capsys.readouterr().err == "error: dt must be positive and finite (got inf)\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dt_whose_scale_products_overflow_is_written(self, tmp_path, fmt):
+        # s*dt overflows at the largest scales, but no output holds it: the
+        # times, the scales and w_p/(s*dt) are all finite
+        n, dt = 256, 1e300
+        path = tmp_path / "sig.txt"
+        path.write_text(f"# dt={dt!r}\n" + "1.0\n-1.0\n" * (n // 2))
+        out = tmp_path / f"cwt.{fmt}"
+        assert run("cwt", "--signal", str(path), "--wavelet-beta", "60",
+                   "--wavelet-gamma", "0.3", "--format", fmt, "--out", str(out)) == 0
+        grid = scale_grid(n, MorseParams(60, 0.3))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(grid.scales * dt).all()
+        if fmt == "json":
+            payload = json.loads(out.read_text())
+            assert payload["scales"] == grid.scales.tolist()
+            freqs = payload["peak_frequencies"]
+            assert freqs == grid.peak_frequencies(dt).tolist() and all(map(math.isfinite, freqs))
+            return
+        cols, rows = _read_csv(out)
+        assert cols[1:] == [f"scale={s!r}" for s in grid.scales.tolist()]
+        assert [float(r[0]) for r in rows] == (np.arange(n) * dt).tolist()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("dt", ["1e308", "5e-324"])

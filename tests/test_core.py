@@ -12,6 +12,7 @@ from morsekit.core import (
     _rescaled_log_shape,
     amplitude_constant,
     approx_spectrum,
+    beta_for_duration,
     duration,
     eval_rescaled_spectrum,
     eval_spectrum,
@@ -101,6 +102,56 @@ class TestDuration:
             p = MorseParams(b, g)
             r2 = rescaled_log_spectrum_derivatives(p, 2)[1]
             assert math.sqrt(-r2) == pytest.approx(duration(p), rel=1e-10), (b, g)
+
+
+class TestBetaForDuration:
+    """beta = P^2/gamma, the one constant-P rule of `map`, `curves` and `limits`."""
+
+    def test_equals_p_times_p_over_gamma(self):
+        p_col = np.array([0.0, 1.0 / 3.0, 1.0, 2.5, 27.0, 1e150])[:, None]
+        gammas = np.array([0.3, 1.0, 3.0, 7.0, 30.0])
+        got = beta_for_duration(p_col, gammas)
+        assert got.shape == (6, 5)
+        for i, p in enumerate(p_col[:, 0].tolist()):
+            for j, g in enumerate(gammas.tolist()):
+                assert got[i, j] == p * p / g, (p, g)  # bitwise: P*P is correctly rounded
+        assert beta_for_duration(3.0, 3.0) == 3.0
+
+    @pytest.mark.parametrize("p, g, beta", [
+        (1e155, 100.0, 1e155 * (1e155 / 100.0)),  # P*P overflows
+        (1e-170, 1e-170, 1e-170),  # P*P underflows to 0
+        (1e-160, 1e-10, 1e-160 * (1e-160 / 1e-10)),  # P*P is subnormal
+    ])
+    def test_p_squared_outside_the_normal_range(self, p, g, beta):
+        assert beta_for_duration(p, g) == beta
+
+    @pytest.mark.parametrize("p, g", [
+        (1e200, 1.0),  # P*P and P (P/gamma) both overflow
+        (1e154, 1e-10),  # P*P is finite, P*P/gamma is not
+        (1e-200, 1.0),  # beta underflows to 0 although P > 0
+    ])
+    def test_beta_beyond_double_range_is_named(self, p, g):
+        with pytest.raises(ValueError) as err:
+            beta_for_duration(p, g)
+        assert str(err.value) == f"beta = P^2/gamma is beyond double range at P={p!r}, gamma={g!r}"
+
+    def test_first_bad_cell_in_c_order_is_named(self):
+        # row 1's gamma = 1e-300 and all of row 2 leave double range too
+        with pytest.raises(ValueError, match=r"at P=1e\+154, gamma=0\.5$"):
+            beta_for_duration(np.array([[1.0], [1e154], [1e200]]), [3.0, 0.5, 1e-300])
+
+    @pytest.mark.parametrize("g", [0.0, -0.5, math.nan, math.inf])
+    def test_bad_gamma_in_morse_params_words(self, g):
+        with pytest.raises(ValueError) as expected:
+            MorseParams(1.0, g)
+        with pytest.raises(ValueError) as got:
+            beta_for_duration([1.0, -1.0], [2.0, g])  # gamma is checked before P
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("p", [-1.0, math.nan, math.inf])
+    def test_bad_duration(self, p):
+        with pytest.raises(ValueError, match=rf"^duration must be finite and >= 0 \(got {p}\)$"):
+            beta_for_duration([1.0, p], 2.0)
 
 
 class TestAmplitude:

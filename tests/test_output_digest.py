@@ -2,11 +2,12 @@
 its table comparison sizes each column's moves."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-from morsekit.cli import _build_parser
+from morsekit.cli import _build_parser, main
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 _spec = importlib.util.spec_from_file_location("output_digest", _PATH)
@@ -55,3 +56,23 @@ def test_table_moves_per_column():
 def test_src_must_hold_the_package(tmp_path):
     with pytest.raises(SystemExit, match="does not provide the morsekit package"):
         digest._check_src(tmp_path)
+
+
+@pytest.mark.parametrize("name, argv", digest._errors(), ids=[n for n, _ in digest._errors()])
+def test_error_cases_exit_2_with_their_message(tmp_path, monkeypatch, capsys, name, argv):
+    """Each error case, run in-process: exit 2, stderr ending in its error
+    line, no traceback and no file left behind."""
+    signals = digest._signals()
+    for file, text in signals.items():
+        (tmp_path / file).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    # argparse prefixes its own errors with the program and subcommand
+    assert err.endswith("\n") and re.match(r"(morsekit( \w+)?: )?error: ", err.splitlines()[-1])
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(signals)

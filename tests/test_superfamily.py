@@ -217,6 +217,11 @@ class TestNamedSpectra:
             )
         assert lognormal_spectrum(2.5, -1.0) == 0.0
 
+    def test_lognormal_p_squared_beyond_double_range(self):
+        assert lognormal_spectrum(1e154, 1.0) == 2.0  # P^2 = 1e308 is finite
+        with pytest.raises(ValueError, match=r"^P\^2 is beyond double range at P=1e\+200$"):
+            lognormal_spectrum(1e200, 1.0)
+
     def test_lognormal_value(self):
         assert lognormal_spectrum(3.0, math.e) == pytest.approx(
             2.0 * math.exp(-4.5), rel=1e-13
@@ -688,6 +693,16 @@ class TestConcentrationCurves:
                     assert abs(got - gaussianity_rho_sq(gmw_wavelet(params))) <= 1e-13, (p, g)
                     assert got == pytest.approx(_morse_rho_sq(params.beta, g), abs=1e-14), (p, g)
 
+    @pytest.mark.parametrize("p_grid, gammas, error", [
+        ([1.0], [2.0, 0.0], "gamma must be finite and > 0 (got 0.0)"),
+        ([1.0], [math.nan], "gamma must be finite and > 0 (got nan)"),
+        ([0.0, 1e160], [3.0], "beta = P^2/gamma is beyond double range at P=1e+160, gamma=3.0"),
+    ])
+    def test_bad_gamma_or_beta_range_raises(self, p_grid, gammas, error):
+        with pytest.raises(ValueError) as err:
+            concentration_curves(p_grid, gammas)
+        assert str(err.value) == error
+
     def test_morlet_cells_equal_the_scalar_calls(self):
         (inv_area, area_ok), (rho_sq, _), _ = concentration_curves(self.P_GRID, self.GAMMAS)
         for i, p in enumerate(self.P_GRID):
@@ -798,9 +813,35 @@ class TestLimitDiagnostics:
         row = limit_diagnostics(3.0, [0.01], target="shannon")[0]
         assert row.sup_deviation > 0.5
 
+    def test_beta_is_p_squared_over_gamma_even_where_p_squared_is_not_normal(self):
+        rows = limit_diagnostics(1.5, [0.3, 2.0, 7.0], target="shannon")
+        assert [r.beta for r in rows] == [1.5 * 1.5 / g for g in (0.3, 2.0, 7.0)]
+        # P*P underflows to 0, but beta = P (P/gamma) = 1e-170 is normal
+        assert limit_diagnostics(1e-170, [1e-170])[0].beta == 1e-170
+
+    @pytest.mark.parametrize("p_dur, gammas, named", [
+        (1e200, [1.0], "P=1e+200, gamma=1.0"),
+        (1e154, [1.0, 1e-10], "P=1e+154, gamma=1e-10"),
+        (1e-200, [1.0], "P=1e-200, gamma=1.0"),
+        # every beta is checked before the lognormal reference, which
+        # would raise on P^2 = 1e400 first
+        (1e200, [1e100, 1.0], "P=1e+200, gamma=1.0"),
+    ])
+    def test_beta_beyond_double_range_is_named(self, p_dur, gammas, named):
+        with pytest.raises(ValueError) as err:
+            limit_diagnostics(p_dur, gammas)
+        assert str(err.value) == f"beta = P^2/gamma is beyond double range at {named}"
+
+    def test_lognormal_reference_beyond_double_range(self):
+        with pytest.raises(ValueError, match=r"^P\^2 is beyond double range at P=1e\+200$"):
+            limit_diagnostics(1e200, [1e100])  # beta = 1e300 is finite
+        assert limit_diagnostics(1e200, [1e100], target="shannon")[0].beta == 1e300
+
     def test_validation(self):
         with pytest.raises(ValueError):
             limit_diagnostics(-1.0, [1.0])
+        with pytest.raises(ValueError, match=r"^gamma must be finite and > 0 \(got 0\.0\)$"):
+            limit_diagnostics(1.0, [1.0, 0.0])
         for p_dur in (math.nan, math.inf):
             with pytest.raises(ValueError, match="duration must be finite"):
                 limit_diagnostics(p_dur, [1.0])

@@ -291,6 +291,43 @@ class TestTransform:
         w0 = 2.0 * np.pi * 100 / n
         assert ratio(np.exp(1j * w0 * np.arange(n))) == pytest.approx(1.0, rel=0.02)
 
+    # (beta, gamma): C of the bound C h^2, h = ln 2 / density, about 1.5x
+    # the largest |relative error| / h^2 measured over densities 8, 16 and
+    # 32 and both normalizations (at density 4, (20, 10) reads 2.8)
+    ENERGY_CLOSURE_C = {(9.0, 3.0): 1.2e-4, (60.0, 0.3): 0.013, (3.0, 1.0): 0.1,
+                        (1.0, 2.0): 0.09, (20.0, 10.0): 0.25}
+
+    @pytest.mark.parametrize("normalization", ["bandpass_n1", "unitary_n_half"])
+    @pytest.mark.parametrize("beta, gamma", list(ENERGY_CLOSURE_C))
+    def test_energy_closes_on_the_closed_form(self, beta, gamma, normalization):
+        # Parseval per row: sum_t |W_j(t)|^2 = (1/n) sum_k |X_k Psi(s_j w_k)|^2.
+        # The trapezoid sum over ln s of Psi(s w)^2 is m_-1 [P(a, 2 (s_max
+        # w)^gamma) - P(a, 2 (s_min w)^gamma)], a = 2 beta/gamma, with P the
+        # regularized lower incomplete gamma; the unitary row's factor s
+        # makes it m_0 / w times the same difference at a = (2 beta + 1)/gamma
+        from scipy.special import gammainc
+
+        from morsekit.props import log_energy_moment
+
+        p, n, bins = MorseParams(beta, gamma), 4096, np.array([200, 330, 517])
+        x = np.cos(2.0 * np.pi * bins[:, None] * np.arange(n) / n).sum(axis=0)
+        w = 2.0 * np.pi * bins / n
+        unitary = normalization == "unitary_n_half"
+        a = (2.0 * beta + unitary) / gamma
+        moment = math.exp(log_energy_moment(p, 0 if unitary else -1)) / (w if unitary else 1.0)
+        for density in (8, 16, 32):
+            grid = scale_grid(n, p, density=density, eta=1e-3, p0=1.0)
+            s = grid.scales
+            weights = np.full(len(s), math.log(s[-1] / s[0]) / (len(s) - 1))
+            weights[[0, -1]] *= 0.5
+            coef = transform(SignalBuffer(x), grid, normalization=normalization).coefficients
+            got = (np.abs(coef) ** 2).sum(axis=0) @ weights
+            # each cosine puts |X_k|^2 = n^2/4 on its positive bin
+            band = gammainc(a, 2.0 * (s[-1] * w) ** gamma) - gammainc(a, 2.0 * (s[0] * w) ** gamma)
+            want = n / 4.0 * float(np.sum(moment * band))
+            h = math.log(2.0) / density
+            assert abs(got / want - 1.0) <= self.ENERGY_CLOSURE_C[beta, gamma] * h * h, density
+
     def test_validation(self):
         sig, _ = _tone(256, 30)
         grid = scale_grid(256, P93)
