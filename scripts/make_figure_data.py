@@ -16,8 +16,8 @@ Runs the five CLI exports at their default resolutions:
 
 Takes about 0.4 s on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): map,
 gallery and curves about 0.08 s each, besselfit about 0.05 s, the limits
-well under 0.01 s, and start-up and import about 0.12 s.  None of the five
-commands needs scipy, and none imports it.  Every table is short enough to
+well under 0.01 s, and start-up and import about 0.12 s.  No command
+needs scipy, and none imports it.  Every table is short enough to
 be formatted in-process, so everything runs in one thread.
 """
 

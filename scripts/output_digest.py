@@ -125,6 +125,7 @@ def _errors():
         ("curves-error-gamma", ["curves", "--gamma", "0"]),
         ("curves-error-no-convergence", ["curves", "--pgrid", "5e6:1:5e6", "--gamma", "3"]),
         ("curves-error-beta-range", ["curves", "--pgrid", "0:1e160:1e160", "--gamma", "3"]),
+        ("curves-error-beta-over-gamma", ["curves", "--pgrid", "1:1:2", "--gamma", "1e-300"]),
         ("props-error-pair", ["props", "1"]),
         ("props-error-beta", ["props", "--", "-1,3"]),
         ("props-error-gamma", ["props", "9,0"]),

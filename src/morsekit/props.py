@@ -424,8 +424,10 @@ def _de_map(t, full_line: bool, hard_upper: float | None):
 
 
 def quad(*args, **kwargs):
-    """`scipy.integrate.quad`, imported on the first call.  Nothing in this
-    package calls it; it stays only as a hook for the benchmark's tracer."""
+    """`scipy.integrate.quad`, imported on the first call, so it needs
+    scipy, which only the test extra installs.  Nothing in this package
+    calls it; it stays only as a hook for the benchmark's tracer, and goes
+    with that hook (ROADMAP item 1)."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(*args, **kwargs)

@@ -590,12 +590,22 @@ def concentration_curves(p_grid, gammas):
     unbounded), a Morse rho^2 where beta = 0, and the Morlet cells where P
     <= p_min = `_morlet_min_duration`, which no Morlet reaches.  A defined
     cell may itself be nan.  Raises ValueError from P at the Morlet's
-    duration at nu = 200 on, and QuadratureError where a Morse spectrum is
-    too narrow for `_morse_rho_sq`.
+    duration at nu = 200 on, or naming the first (P, gamma) in C order whose
+    (2 beta + 1)/gamma leaves double range (before either kernel runs),
+    and QuadratureError where a Morse spectrum is too narrow for
+    `_morse_rho_sq`.
     """
     # each column kind in one call on the whole (P, gamma) grid
     g_row = np.asarray(gammas, dtype=float)
-    b_grid = beta_for_duration(np.asarray(p_grid, dtype=float)[:, None], g_row)
+    p_col = np.asarray(p_grid, dtype=float)[:, None]
+    b_grid = beta_for_duration(p_col, g_row)
+    # both kernels form beta/gamma and (2 beta + 1)/gamma, the larger of the two
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite((2.0 * b_grid + 1.0) / g_row)
+    if bad.any():  # the mask takes the cells in C order
+        p, g = np.broadcast_arrays(p_col, g_row)
+        raise ValueError(f"(2 beta + 1)/gamma is beyond double range at "
+                         f"P={float(p[bad][0])!r}, gamma={float(g[bad][0])!r}")
     inv_area = 1.0 / _heisenberg_area(b_grid, g_row)
     # placeholders keep undefined cells out of the kernels: beta = 1 for
     # beta = 0 (P = 0), and P = 3 for a P that no Morlet reaches

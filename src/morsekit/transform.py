@@ -18,29 +18,28 @@ The filter bank runs one scale row per task on `core.CPU_COUNT` threads
 filter, `core.eval_spectrum` (mask-free and in place for beta > 0), is evaluated
 only on the bins below the frequency where the Morse spectrum underflows
 to exactly 0 (found once per transform), multiplied into the row, and the
-row is inverted by one-thread transforms, cropped and scaled into the
+row is inverted by one in-place `np.fft.ifft`, cropped and scaled into the
 output by the same thread.  The rows are stored scale-major, so the time
 x scale ``CwtResult.coefficients`` is a Fortran-ordered view.
 
 The non-periodic boundaries pad to m = next_pow2(2n) samples.  When m is
 exactly 2n (every power-of-two n), the mirror buffer is one period of the
-half-sample symmetric extension [x, x[::-1]], shifted by n/2.  Its DFT is
-then a phase times the DCT-II of x, and a row cropped to the record is a
-DCT-III plus i times a DST-III, both of length n and real for a real
-signal (Martucci 1994; Makhoul 1980): no padding and no complex row.  For
-other n the buffer is not one period of the extension, so those mirror
-rows, like the zero-padded ones, are the padded spectrum's inverse FFTs.
+half-sample symmetric extension [x, x[::-1]] (Martucci 1994).  For a real
+signal, its filtered 2n-point row r needs only an n-point inverse E of
+the same bins: the even samples r[2a] are E[a]/2, and as the extension's
+spectrum is a phase exp(i pi k / 2n) times a real sequence, r[2n-1-t] is
+the conjugate of r[t], so r[2a+1] = conj(E[n-1-a])/2.  A complex
+signal's mirror rows, and those at other n, whose buffer is not one
+period of the extension, are the padded spectrum's inverse FFTs, as the
+zero rows are.
 
 A narrower signal (float32, complex64, integers) is transformed as its
 float64 or complex128 cast.  Memory is the output and that cast, plus per
-thread one padded complex row (zero, and mirror at other n), two real
-length-n rows (mirror at power-of-two n; complex for a complex signal) or
-nothing (periodic rows are inverted in place in the output), plus O(m)
-per thread for the filter.  The coefficients are bitwise those of a
-plain loop of the same per-scale formula, whatever the thread count.  The
-DCT, DST and inverse FFTs are `scipy.fft`'s, imported by the first
-transform: no other part of the package needs scipy, so importing it
-loads no scipy module.
+thread one complex row of m (padded rows) or n (real mirror rows at
+power-of-two n), or nothing (periodic rows are inverted in place in the
+output), plus O(m) per thread for the filter.  The coefficients are
+bitwise those of a plain loop of the same per-scale formula, whatever
+the thread count.  Every FFT, forward and inverse, is numpy's.
 """
 
 from __future__ import annotations
@@ -281,25 +280,26 @@ def transform(
     reflection in 'mirror' mode, and crop after inversion.
 
     Where m is exactly 2n (every power-of-two n), the mirror buffer is one
-    period of the half-sample symmetric extension [x, x[::-1]].  Those rows
-    are computed without padding: with D the DCT-II of x and R = D Psi(s
-    pi k/n) on k < n (the extension's spectrum is 0 at the Nyquist bin),
-    the cropped row is (DCT-III(R) + i DST-III(b)) / 4n, where b[k] =
-    R[k+1].  DCT-III halves bin 0, which needs no correction because
-    Psi(0) = 0.  At other n the buffer is not one period of the extension,
-    so mirror rows are inverse FFTs of the padded spectrum, as zero rows
-    are; the two differ by a few 1e-4 of a column's maximum.
+    period of the half-sample symmetric extension [x, x[::-1]].  A real
+    signal's rows there are unfolded from an n-point inverse: with Y the
+    extension's DFT and E the n-point inverse FFT of Y Psi(s pi k/n) on
+    k < n (Y is 0 at the Nyquist bin), the cropped row is E[a]/2 at t = 2a
+    and conj(E[n-1-a])/2 at t = 2a + 1.  A complex signal's mirror rows at
+    these n, and every mirror row at other n, whose buffer is not one
+    period of the extension, are inverse FFTs of the padded spectrum, as
+    zero rows are; at other n the two forms differ by a few 1e-4 of a
+    column's maximum.
 
     Each row's filter is evaluated only below the frequency where the
     spectrum underflows to exactly 0.  Every scale row is one task:
     `core.CPU_COUNT` threads (every CPU the process may use, the calling
     thread among them) each take the next row, evaluate its filter, invert
-    it with one-thread transforms and write it, cropped and scaled, to the
-    output.
+    it with one in-place `np.fft.ifft` and write it, cropped and scaled, to
+    the output.
     Rows are written scale-major, so ``coefficients`` is a Fortran-ordered
     time x scale view.  Beyond the output, and the float64 or complex128
-    cast of a narrower signal, the transform holds per thread one padded
-    complex row (zero, and mirror at other n), two length-n rows (mirror
+    cast of a narrower signal, the transform holds per thread one complex
+    row of m (zero, and mirror where padded), of n (a real signal's mirror
     at power-of-two n) or none (periodic rows are inverted in place in the
     output), and O(m) per thread for the filter.  An error in any row
     stops the others and is raised here once every thread has ended.  The
@@ -309,13 +309,11 @@ def transform(
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
-    import scipy.fft
-
     # np.fft.fft would run a float32 or complex64 signal in single precision
     sig = x.samples.astype(np.promote_types(x.samples.dtype, float), copy=False)
     n = len(sig)
     m = n if boundary == "periodic" else _next_pow2(2 * n)
-    symmetric = boundary == "mirror" and m == 2 * n
+    symmetric = boundary == "mirror" and m == 2 * n and not np.iscomplexobj(sig)
 
     # Psi is exactly 0 at and above w_zero (the margin covers rounding in
     # the bin counts), so a row gets filter values only on the nonnegative
@@ -325,15 +323,14 @@ def transform(
     supports = np.ceil(w_zero * m / (2.0 * np.pi * scales))
     supports = np.minimum(supports, n if symmetric else m // 2 + 1).astype(int)
     if symmetric:
-        # D[k] = 2 sum_t x_t cos(pi k (2t+1) / 2n): bin k of the DFT of
-        # [x, x[::-1]] is exp(i pi k / 2n) D[k], and D[n] = 0
-        spectrum = scipy.fft.dct(sig, type=2)[: supports.max()]
+        # bin n of the extension's DFT is 0, so a row's bins are k < n
+        buf = np.concatenate((sig, sig[::-1]))
     else:
         offset = (m - n) // 2
         mode = "constant" if boundary == "zero" else "symmetric"
         buf = sig if m == n else np.pad(sig, (offset, m - n - offset), mode=mode)
-        spectrum = np.fft.fft(buf)[: supports.max()].copy()  # the bins any row uses
-        del buf
+    spectrum = np.fft.fft(buf)[: supports.max()].copy()  # the bins any row uses
+    del buf
     omega_pos = 2.0 * np.pi * np.arange(len(spectrum)) / m
     unitary = normalization == "unitary_n_half"
 
@@ -349,36 +346,26 @@ def transform(
         # periodic rows are inverted in place in the output
         row = out[j] if scratch is None else scratch
         filter_into(row, j)
-        inverse = scipy.fft.ifft(row, overwrite_x=True, workers=1)
-        cropped = inverse[offset : offset + n]
+        np.fft.ifft(row, out=row)
+        cropped = row[offset : offset + n]
         if unitary:
             np.multiply(cropped, np.sqrt(scales[j]), out=out[j])
         elif not np.may_share_memory(cropped, out[j]):  # periodic: already in place
             out[j] = cropped
 
-    def run_symmetric_row(j, scratch):
-        # with R the filtered DCT-II, row t is the sum over k < n of
-        # R[k] exp(i pi k (2t+1) / 2n) / 2n: its cosine part is DCT-III(R) / 2
-        # (DCT-III halves bin 0, where R is 0 as Psi(0) is), its sine part
-        # DST-III(b) / 2 with b[k] = R[k+1]
-        a, b = scratch
-        filter_into(a, j)
-        b[:-1] = a[1:]
-        b[-1] = 0.0
-        cos = scipy.fft.dct(a, type=3, overwrite_x=True, workers=1)
-        sin = scipy.fft.dst(b, type=3, overwrite_x=True, workers=1)
-        gain = (np.sqrt(scales[j]) if unitary else 1.0) / (4 * n)
+    def run_symmetric_row(j, e):
+        # the 2n-point row is e[a] / 2 at t = 2a, and at t = 2a + 1 the
+        # conjugate of its value at 2n - 1 - t = 2 (n - 1 - a)
+        filter_into(e, j)
+        np.fft.ifft(e, out=e)
+        gain = (np.sqrt(scales[j]) if unitary else 1.0) / 2
         row = out[j]
-        if np.iscomplexobj(cos):  # cos + i sin, part by part
-            np.subtract(cos.real, sin.imag, out=row.real)
-            np.add(cos.imag, sin.real, out=row.imag)
-            row *= gain
-        else:
-            np.multiply(cos, gain, out=row.real)
-            np.multiply(sin, gain, out=row.imag)
+        np.multiply(e[: (n + 1) // 2], gain, out=row[0::2])
+        np.conjugate(e[::-1][: n // 2], out=row[1::2])
+        row[1::2] *= gain
 
     if symmetric:
-        _run_rows(len(scales), run_symmetric_row, lambda: np.empty((2, n), spectrum.dtype))
+        _run_rows(len(scales), run_symmetric_row, lambda: np.empty(n, complex))
     else:
         _run_rows(len(scales), run_row,
                   None if boundary == "periodic" else lambda: np.empty(m, complex))

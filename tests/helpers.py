@@ -92,31 +92,28 @@ def log_trapezoid_integral(f, lo: float, hi: float, n: int = 200001) -> float:
 def reference_transform(samples, grid, normalization="bandpass_n1", boundary="periodic"):
     """Time x scale coefficients from a plain one-scale-at-a-time loop with a
     full-length filter per scale: the loop that the threaded filter bank
-    must match bit for bit.  Mirror rows of a power-of-two length are a
-    DCT-III/DST-III pair of length n; every other row is one numpy inverse
-    FFT of the padded spectrum (`padded_reference_transform`)."""
+    must match bit for bit.  Mirror rows of a real signal at a power-of-two
+    length n unfold one n-point numpy inverse FFT; every other row is one
+    numpy inverse FFT of the padded spectrum (`padded_reference_transform`)."""
     import numpy as np
-    import scipy.fft
 
     from morsekit.core import eval_spectrum
 
     sig = np.asarray(samples)
     n = len(sig)
-    if boundary != "mirror" or n & (n - 1):
+    if boundary != "mirror" or n & (n - 1) or np.iscomplexobj(sig):
         return padded_reference_transform(samples, grid, normalization, boundary)
-    # D[k] = 2 sum_t x_t cos(pi k (2t+1) / 2n); the row is
-    # sum_{k<n} D[k] Psi(s pi k / n) exp(i pi k (2t+1) / 2n) / 2n, and
-    # a[0] is doubled because DCT-III halves bin 0
-    spectrum = scipy.fft.dct(sig.astype(np.promote_types(sig.dtype, float)), type=2)
+    # e is the n-point inverse of the first n bins of the DFT of [x, x[::-1]]
+    # times the filter; the 2n-point row is e[a] / 2 at t = 2a and
+    # conj(e[n-1-a]) / 2 at t = 2a + 1
+    spectrum = np.fft.fft(np.concatenate((sig, sig[::-1])))[:n]
     omega = 2.0 * np.pi * np.arange(n) / (2 * n)
     coeffs = np.empty((n, len(grid.scales)), dtype=complex)
     for j, s in enumerate(grid.scales):
-        r = spectrum * eval_spectrum(grid.params, s * omega)
-        a = r.copy()
-        a[0] *= 2.0
-        b = np.append(r[1:], 0.0)
-        gain = (math.sqrt(s) if normalization == "unitary_n_half" else 1.0) / (4 * n)
-        coeffs[:, j] = (scipy.fft.dct(a, type=3) + 1j * scipy.fft.dst(b, type=3)) * gain
+        e = np.fft.ifft(spectrum * eval_spectrum(grid.params, s * omega))
+        gain = (math.sqrt(s) if normalization == "unitary_n_half" else 1.0) / 2
+        coeffs[0::2, j] = e[: (n + 1) // 2] * gain
+        coeffs[1::2, j] = np.conj(e[::-1][: n // 2]) * gain
     return coeffs
 
 

@@ -444,6 +444,20 @@ class TestGammaGuard:
         )
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # no numpy warning may reach stderr
+    @pytest.mark.parametrize("pgrid, gamma, named", [
+        ("1:1:2", "1e-300", "P=1.0, gamma=1e-300"),  # beta = 1e300 is finite
+        ("0:1:0.5", "1e-310", "P=0.0, gamma=1e-310"),  # beta = 0, 1/gamma overflows
+    ])
+    def test_curves_beta_over_gamma_beyond_double_range(self, tmp_path, capsys, pgrid,
+                                                         gamma, named):
+        out = tmp_path / "out.csv"
+        assert run("curves", "--pgrid", pgrid, "--gamma", gamma, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: (2 beta + 1)/gamma is beyond double range at {named}\n"
+        )
+        assert not out.exists()
+
     def test_limits_lognormal_p_squared_beyond_double_range(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert run("limits", "--pvalue", "1e200", "--gamma", "1e100", "--out", str(out)) == 2

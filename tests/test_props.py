@@ -467,26 +467,44 @@ class TestDoubleExponentialMaps:
             quadrature_integral(lambda w: w, full_line=True, hard_upper=1.0)
 
 
-def _run_fresh(statement: str, prelude: str = "") -> str:
+def _run_fresh(statement: str, prelude: str = "", cwd=None) -> str:
     """Stdout of a fresh interpreter that runs ``prelude``, imports the same
-    morsekit as this one, then runs ``statement``."""
+    morsekit as this one, then runs ``statement`` (in ``cwd`` if given)."""
     code = f"{prelude}import sys, morsekit, morsekit.cli; {statement}"
     env = dict(os.environ, PYTHONPATH=str(Path(props.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=env,
+        env=env, cwd=cwd,
     )
     return out.stdout
 
 
-def _scipy_loaded_after(statement: str) -> str:
+def _scipy_loaded_after(statement: str, cwd=None) -> str:
     """Every scipy module loaded in a fresh interpreter that imports
     morsekit and then runs ``statement``."""
     report = "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    return _run_fresh(statement + report).strip().splitlines()[-1]  # after any table
+    return _run_fresh(statement + report, cwd=cwd).strip().splitlines()[-1]  # after any table
 
 
-# every command but `cwt`, on small grids; `limits` with both targets
+# a power-of-two length, whose real mirror rows unfold an n-point inverse,
+# and a length whose mirror rows are padded
+CWT_LENGTHS = (512, 600)
+
+
+def _write_signals(directory: Path):
+    """The real and complex signal files that the `cwt` commands read."""
+    rng = np.random.default_rng(32)
+    for n in CWT_LENGTHS:
+        t = np.arange(n)
+        re = np.cos(0.3 * t) + 0.5 * rng.standard_normal(n)
+        im = np.sin(0.3 * t) + 0.5 * rng.standard_normal(n)
+        (directory / f"real{n}.txt").write_text("".join(f"{a!r}\n" for a in re.tolist()))
+        (directory / f"complex{n}.txt").write_text(
+            "".join(f"{a!r} {b!r}\n" for a, b in zip(re.tolist(), im.tolist())))
+
+
+# every command on small grids: `limits` with both targets, and `cwt` on
+# each boundary for a real and a complex signal of each length
 SCIPY_FREE_COMMANDS = {
     "map": ["map", "--beta", "0.55:60:12", "--gamma", "0.3:30:12"],
     "gallery": ["gallery", "--beta", "1,3", "--gamma", "3"],
@@ -496,12 +514,17 @@ SCIPY_FREE_COMMANDS = {
     "besselfit": ["besselfit", "--beta", "1:50:8", "--gamma", "0.02:2:8"],
     "limits": ["limits", "--target", "lognormal"],
     "limits-shannon": ["limits", "--target", "shannon", "--gamma", "100"],
+    **{f"cwt-{boundary}-{kind}{n}": ["cwt", "--signal", f"{kind}{n}.txt",
+                                     "--boundary", boundary]
+       for boundary in ("periodic", "zero", "mirror") for kind in ("real", "complex")
+       for n in CWT_LENGTHS},
 }
 
 
 class TestScipyUnloaded:
-    """Only `cwt` needs scipy: importing morsekit, the quadrature oracle and
-    every other command load no scipy module."""
+    """No part of the package needs scipy: importing morsekit, the
+    quadrature oracle and every command, `cwt` on each boundary included,
+    load no scipy module."""
 
     def test_import_loads_no_scipy(self):
         assert _scipy_loaded_after("pass") == "[]"
@@ -515,17 +538,21 @@ class TestScipyUnloaded:
 
     @pytest.mark.parametrize("argv", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS)
     def test_command_loads_no_scipy(self, tmp_path, argv):
+        _write_signals(tmp_path)
         argv = argv + ["--out", str(tmp_path / "out")]
-        assert _scipy_loaded_after(f"assert morsekit.cli.main({argv!r}) == 0") == "[]"
+        statement = f"assert morsekit.cli.main({argv!r}) == 0"
+        assert _scipy_loaded_after(statement, cwd=tmp_path) == "[]"
 
     def test_commands_run_with_scipy_blocked(self, tmp_path):
         # an import of any scipy module raises ImportError in this interpreter
+        _write_signals(tmp_path)
         codes = [
             f"morsekit.cli.main({argv + ['--out', str(tmp_path / name)]!r})"
             for name, argv in SCIPY_FREE_COMMANDS.items()
         ]
         statement = f"print([{', '.join(codes)}])"
-        out = _run_fresh(statement, prelude="import sys; sys.modules['scipy'] = None; ")
+        out = _run_fresh(statement, prelude="import sys; sys.modules['scipy'] = None; ",
+                         cwd=tmp_path)
         assert out.strip().splitlines()[-1] == str([0] * len(codes))
 
 

@@ -697,6 +697,10 @@ class TestConcentrationCurves:
         ([1.0], [2.0, 0.0], "gamma must be finite and > 0 (got 0.0)"),
         ([1.0], [math.nan], "gamma must be finite and > 0 (got nan)"),
         ([0.0, 1e160], [3.0], "beta = P^2/gamma is beyond double range at P=1e+160, gamma=3.0"),
+        # beta is finite, but the kernels' beta/gamma or 1/gamma is not
+        ([0.0, 0.5, 1.0], [3.0, 1e-300],
+         "(2 beta + 1)/gamma is beyond double range at P=0.5, gamma=1e-300"),
+        ([0.0], [1e-310], "(2 beta + 1)/gamma is beyond double range at P=0.0, gamma=1e-310"),
     ])
     def test_bad_gamma_or_beta_range_raises(self, p_grid, gammas, error):
         with pytest.raises(ValueError) as err:

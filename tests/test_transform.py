@@ -8,7 +8,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.fft
 from helpers import padded_reference_transform, reference_transform
 
 from morsekit import core
@@ -391,18 +390,18 @@ class TestBlockedTransform:
         calls = []
         lock = threading.Lock()
 
-        # transform imports scipy.fft when it runs and looks each transform up on it
+        # transform looks each transform up on np.fft when it runs
         def counted(name):
-            fn = getattr(scipy.fft, name)
+            fn = getattr(np.fft, name)
 
             def call(a, **kw):
                 with lock:
-                    calls.append((name, a.shape, kw.get("type"), kw.get("workers")))
+                    calls.append((name, a.shape, kw.get("out") is a))
                 return fn(a, **kw)
 
-            monkeypatch.setattr(scipy.fft, name, call)
+            monkeypatch.setattr(np.fft, name, call)
 
-        for name in ("ifft", "dct", "dst"):
+        for name in ("fft", "ifft"):
             counted(name)
         for boundary in ("periodic", "zero", "mirror"):
             m = n if boundary == "periodic" else 1 << (2 * n - 1).bit_length()
@@ -410,14 +409,15 @@ class TestBlockedTransform:
                 for g in (grid, short):
                     calls.clear()
                     got = transform(SignalBuffer(x), g, normalization, boundary).coefficients
-                    made = sorted(calls)
+                    made = list(calls)
                     if boundary == "mirror" and m == 2 * n:
-                        # the forward DCT-II once, then one DCT-III/DST-III pair a row
-                        assert made == sorted([("dct", (n,), 2, None)]
-                                              + [("dct", (n,), 3, 1)] * len(g)
-                                              + [("dst", (n,), 3, 1)] * len(g))
+                        # the forward FFT of [x, x[::-1]] once, then one
+                        # n-point inverse a row, unfolded to the 2n-point row
+                        assert made == ([("fft", (m,), False)]
+                                        + [("ifft", (n,), True)] * len(g))
                     else:
-                        assert made == [("ifft", (m,), None, 1)] * len(g)
+                        assert made == ([("fft", (m,), False)]
+                                        + [("ifft", (m,), True)] * len(g))
                     assert np.array_equal(
                         got, reference_transform(x, g, normalization, boundary)
                     )
@@ -464,8 +464,9 @@ class TestBlockedTransform:
     @pytest.mark.parametrize("n", [2, 1024, 2048, 4096])
     def test_power_of_two_mirror_matches_padded_fft(self, n, complex_signal, params,
                                                     normalization):
-        # the DCT-III/DST-III rows against one inverse FFT of the padded
-        # spectrum per scale; measured: at most 1.05e-15 of a column's maximum
+        # the unfolded n-point rows (real signal) against one inverse FFT of
+        # the padded spectrum per scale; measured: at most 9.7e-16 of a
+        # column's maximum.  A complex signal's rows are the padded ones
         p = MorseParams(*params)
         x = _noise(n, complex_signal, seed=7)
         if n == 2 or p.beta == 0:
@@ -482,6 +483,29 @@ class TestBlockedTransform:
         col_max = np.abs(want).max(axis=0)
         assert np.all(col_max > 0)
         assert np.all(np.abs(got - want).max(axis=0) <= 1e-13 * col_max)
+
+    @pytest.mark.parametrize("normalization", ["bandpass_n1", "unitary_n_half"])
+    @pytest.mark.parametrize("params", [(9.0, 3.0), (60.0, 0.3), (3.0, 2.0)])
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_power_of_two_mirror_matches_explicit_extension(self, n, complex_signal, params,
+                                                            normalization):
+        # the definition of the boundary: one 2n-point inverse FFT per scale
+        # of the filtered one-sided spectrum of [x, x[::-1]], cropped to
+        # t < n; measured: at most 9.0e-16 of a column's maximum (real
+        # signal), 0 (complex)
+        x = _noise(n, complex_signal, seed=9)
+        grid = scale_grid(n, MorseParams(*params), density=4)
+        got = transform(SignalBuffer(x), grid, normalization, "mirror").coefficients
+        spectrum = np.fft.fft(np.concatenate((x, x[::-1])))
+        omega = 2.0 * np.pi * np.arange(n + 1) / (2 * n)
+        for j, s in enumerate(grid.scales):
+            filtered = np.zeros(2 * n, complex)
+            filtered[: n + 1] = spectrum[: n + 1] * eval_spectrum(grid.params, s * omega)
+            want = np.fft.ifft(filtered)[:n]
+            if normalization == "unitary_n_half":
+                want *= math.sqrt(s)
+            assert np.abs(got[:, j] - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("boundary", ["periodic", "zero", "mirror"])
     @pytest.mark.parametrize("n", [1024, 1237])
@@ -523,7 +547,7 @@ class TestBlockedTransform:
         finally:
             tracemalloc.stop()
         # periodic rows are inverted in place in the output; a mirror row of
-        # this power-of-two length is two real rows of n.  A row has n/2
+        # this power-of-two length is one complex row of n.  A row has n/2
         # nonnegative bins (periodic) or n (mirror), and its filter
         # temporaries take about 32 bytes a bin.  The spectrum, the bin
         # frequencies and the signal's transform take a few dozen bytes
@@ -573,12 +597,9 @@ class TestRowWorkers:
         grid = scale_grid(n, P93, density=8)
         monkeypatch.setattr(core, "CPU_COUNT", 8)
         calls = []
-        # a row ends in one inverse FFT, or (mirror at power-of-two n) one DST-III
-        ifft, dst = scipy.fft.ifft, scipy.fft.dst
-        monkeypatch.setattr(scipy.fft, "ifft",
-                            lambda a, **kw: calls.append(1) or ifft(a, **kw))
-        monkeypatch.setattr(scipy.fft, "dst",
-                            lambda a, **kw: calls.append(1) or dst(a, **kw))
+        # every row is one inverse FFT
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda a, **kw: calls.append(1) or ifft(a, **kw))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
